@@ -1,17 +1,18 @@
-"""Analyzer replay throughput: seed vs packed vs vectorized replay.
+"""Analyzer replay throughput: the seed path vs the production path.
 
-Measures analyze-side wall clock for three replay engines -- the seed
-tuple replayer (``packed=False, memo=False``), the packed pipeline
-(columnar cursors, batched converged runs, DCFG scan dedup,
-signature-keyed warp memoization) with ``vector=False``, and the
-vectorized bulk-span replayer on top of it -- over the five core
-workloads, plus a synthetic replicated-lane workload that exercises the
-warp-memo fast path directly.  Results go to
+Measures analyze-side wall clock for two replay paths -- the seed path
+(the reference oracle of ``tests/util.py``: tuple replayer, reference
+DCFG scan, serial, no memo) and the production analyzer (the span
+replayer over packed columns, DCFG scan dedup, signature-keyed warp
+memoization) -- over the five core workloads, plus a synthetic
+replicated-lane workload that exercises the warp-memo fast path
+directly.  The five core workloads give every thread private stack and
+heap addresses, so their memo hit rate is ~0 and their speedup is
+replay work, not memo hits.  Results go to
 ``benchmarks/results/perf_replay.txt`` and the machine-readable
 ``BENCH_replay.json`` at the repo root.
 
-The packed and vectorized analyzers run in alternating order within
-each round: they are the close pair whose ratio gates acceptance, and
+The two paths run in alternating order within each round:
 interleaving cancels slow drift (thermal, cache warmup) that a
 measure-all-of-A-then-all-of-B loop folds into the ratio.
 
@@ -22,26 +23,29 @@ it into per-analysis replay time would misstate both.
 Two modes:
 
 * full (default): five workloads at 64 threads, best-of-3; asserts the
-  acceptance targets -- packed replay >= 1.5x geomean over seed replay
-  and vectorized replay >= 1.4x geomean over packed replay -- and
-  bit-identical reports across all three engines and memo on/off.
+  acceptance target -- production replay >= 1.5x geomean over the seed
+  path -- and bit-identical reports between the two.
 * smoke (``THREADFUSER_PERF_SMOKE=1``): one small workload, best-of-2,
-  with deliberately generous floors -- a CI canary against massive
+  with a deliberately generous floor -- a CI canary against massive
   regressions, not a precision measurement.
 """
 
 import json
 import os
 import pickle
+import sys
 import time
 
 from conftest import emit, run_once
 
-from repro.core import vector
 from repro.core.analyzer import AnalyzerConfig, ThreadFuserAnalyzer
 from repro.obs import Recorder
 from repro.tracer.events import TraceSet
 from repro.workloads import get_workload, trace_instance
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+from util import oracle_analyze  # noqa: E402
 
 SMOKE = os.environ.get("THREADFUSER_PERF_SMOKE") == "1"
 
@@ -52,21 +56,23 @@ N_THREADS = 32 if SMOKE else 64
 WARP_SIZE = 32
 ROUNDS = 2 if SMOKE else 3
 
-#: Full-mode acceptance: the packed replay pipeline's reason to exist.
+#: Full-mode acceptance: the production replay path's reason to exist.
 FULL_MIN_GEOMEAN_SPEEDUP = 1.5
 
-#: Full-mode acceptance for the vectorized bulk-span path, measured
-#: against the packed pipeline it extends (not against seed replay).
-FULL_MIN_GEOMEAN_VECTOR = 1.4
-
-#: Smoke floor: packed replay must not be drastically slower than seed
-#: replay.  Measured speedups are ~2x; only a broken fast path trips it.
+#: Smoke floor: production replay must not be drastically slower than
+#: the seed path.  Measured speedups are several x; only a broken fast
+#: path trips it.
 SMOKE_MIN_SPEEDUP = 0.6
 
-#: Smoke floor for vector-over-packed: deliberately below 1.0 -- smoke
-#: hardware is noisy and the smoke workload tiny; this only catches a
-#: catastrophically broken bulk path.
-SMOKE_MIN_VECTOR_SPEEDUP = 0.5
+
+class _Oracle:
+    """The seed path behind the analyzer's ``analyze`` call shape."""
+
+    def __init__(self, config):
+        self.config = config
+
+    def analyze(self, traces):
+        return oracle_analyze(traces, self.config)
 
 
 def _canonical(report):
@@ -76,16 +82,6 @@ def _canonical(report):
     the replay contract), so equal bytes mean bit-identical reports.
     """
     return pickle.dumps(report)
-
-
-def _best(analyzer, traces):
-    best = float("inf")
-    report = None
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        report = analyzer.analyze(traces)
-        best = min(best, time.perf_counter() - t0)
-    return best, report
 
 
 def _best_pair(first, second, traces):
@@ -123,42 +119,31 @@ def _replicated_traces(n_threads):
 
 def _measure(name, traces):
     cfg = AnalyzerConfig(warp_size=WARP_SIZE)
-    seed_s, seed_report = _best(
-        ThreadFuserAnalyzer(cfg, memo=False, packed=False), traces)
-
     t0 = time.perf_counter()
     for thread in traces:
         thread.packed()
     pack_s = time.perf_counter() - t0
 
-    packed = ThreadFuserAnalyzer(cfg, vector=False)
     recorder = Recorder()
-    vectorized = ThreadFuserAnalyzer(cfg, recorder=recorder)
-    ((packed_s, packed_report),
-     (vector_s, vector_report)) = _best_pair(packed, vectorized, traces)
-    nomemo_report = ThreadFuserAnalyzer(cfg, memo=False).analyze(traces)
-
-    # Bit-identical acceptance: packed, vectorized, and memo replay are
-    # invisible optimizations, in any combination.
-    assert _canonical(packed_report) == _canonical(seed_report), name
-    assert _canonical(vector_report) == _canonical(seed_report), name
-    assert _canonical(nomemo_report) == _canonical(seed_report), name
+    production = ThreadFuserAnalyzer(cfg, recorder=recorder)
+    ((seed_s, seed_report),
+     (replay_s, report)) = _best_pair(_Oracle(cfg), production, traces)
+    # Bit-identical acceptance: the production path is an invisible
+    # optimization of the seed path.
+    assert _canonical(report) == _canonical(seed_report), name
 
     gauges = recorder.telemetry().gauges
     lookups = gauges.get("memo.warp_lookups", 0)
     hits = gauges.get("memo.warp_hits", 0)
-    instructions = vector_report.metrics.thread_instructions
+    instructions = report.metrics.thread_instructions
     return {
         "thread_instructions": instructions,
         "seed_replay_s": seed_s,
-        "packed_replay_s": packed_s,
-        "vector_replay_s": vector_s,
+        "replay_s": replay_s,
         "pack_s": pack_s,
         "seed_ips": instructions / seed_s,
-        "packed_ips": instructions / packed_s,
-        "vector_ips": instructions / vector_s,
-        "speedup": seed_s / packed_s,
-        "vector_speedup": packed_s / vector_s,
+        "ips": instructions / replay_s,
+        "speedup": seed_s / replay_s,
         "vector_token_fraction": gauges.get(
             "replay.vector_token_fraction", 0.0),
         "memo_lookups": lookups,
@@ -190,34 +175,28 @@ def test_replay_throughput(benchmark):
     rows = run_once(benchmark, experiment)
 
     lines = [
-        "Analyzer replay throughput (seed vs packed vs vectorized; "
+        "Analyzer replay throughput (seed path vs production; "
         f"{'smoke' if SMOKE else 'full'} mode, {N_THREADS} threads, "
-        f"warp {WARP_SIZE}, best of {ROUNDS}, "
-        f"vector backend {vector.BACKEND})",
-        "{:<14} {:>11} {:>8} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>5}"
-        .format("workload", "thread-ins", "seed", "packed", "vector",
-                "pack", "spdup", "vspdup", "vfrac", "memo"),
-        "{:<14} {:>11} {:>8} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>5}"
-        .format("", "", "ms", "ms", "ms", "ms", "", "", "", "rate"),
+        f"warp {WARP_SIZE}, best of {ROUNDS})",
+        "{:<14} {:>11} {:>8} {:>8} {:>7} {:>7} {:>6} {:>5}"
+        .format("workload", "thread-ins", "seed", "replay", "pack",
+                "spdup", "vfrac", "memo"),
+        "{:<14} {:>11} {:>8} {:>8} {:>7} {:>7} {:>6} {:>5}"
+        .format("", "", "ms", "ms", "ms", "", "", "rate"),
     ]
     for name, r in rows.items():
         lines.append(
             f"{name:<14} {r['thread_instructions']:>11} "
             f"{r['seed_replay_s'] * 1e3:>8.1f} "
-            f"{r['packed_replay_s'] * 1e3:>8.1f} "
-            f"{r['vector_replay_s'] * 1e3:>8.1f} "
+            f"{r['replay_s'] * 1e3:>8.1f} "
             f"{r['pack_s'] * 1e3:>7.1f} "
             f"{r['speedup']:>6.2f}x "
-            f"{r['vector_speedup']:>6.2f}x "
             f"{r['vector_token_fraction']:>6.2f} "
             f"{r['memo_hit_rate']:>5.2f}"
         )
-    core = [rows[name]["speedup"] for name in WORKLOADS]
-    geomean = _geomean(core)
-    vector_geomean = _geomean(
-        [rows[name]["vector_speedup"] for name in WORKLOADS])
+    geomean = _geomean([rows[name]["speedup"] for name in WORKLOADS])
     lines.append(f"geomean speedup (core workloads): {geomean:.2f}x "
-                 f"packed/seed, {vector_geomean:.2f}x vector/packed")
+                 f"production/seed")
     emit("perf_replay_smoke" if SMOKE else "perf_replay",
          "\n".join(lines))
 
@@ -226,18 +205,15 @@ def test_replay_throughput(benchmark):
         "n_threads": N_THREADS,
         "warp_size": WARP_SIZE,
         "rounds": ROUNDS,
+        "nproc": len(os.sched_getaffinity(0)),
         "unit": "thread-instructions/second of analyze(), single process",
-        "baseline": "seed replay (ThreadFuserAnalyzer(memo=False, "
-                    "packed=False)); vector_speedup is measured against "
-                    "the packed pipeline (vector=False)",
-        "vector_backend": vector.BACKEND,
+        "baseline": "seed path (the reference oracle: tuple "
+                    "WarpReplayer, reference DCFG scan, serial, no memo)",
         "workloads": rows,
         "geomean_speedup": geomean,
-        "geomean_vector_speedup": vector_geomean,
     }
     if not SMOKE:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "BENCH_replay.json"), "w") as fh:
+        with open(os.path.join(ROOT, "BENCH_replay.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -250,21 +226,11 @@ def test_replay_throughput(benchmark):
     if SMOKE:
         for name in WORKLOADS:
             assert rows[name]["speedup"] >= SMOKE_MIN_SPEEDUP, (
-                f"{name}: packed replay far below seed replay "
+                f"{name}: production replay far below the seed path "
                 f"({rows[name]['speedup']:.2f}x)"
-            )
-            assert (rows[name]["vector_speedup"]
-                    >= SMOKE_MIN_VECTOR_SPEEDUP), (
-                f"{name}: vectorized replay far below packed replay "
-                f"({rows[name]['vector_speedup']:.2f}x)"
             )
     else:
         assert geomean >= FULL_MIN_GEOMEAN_SPEEDUP, (
-            f"packed replay geomean speedup {geomean:.2f}x is below the "
-            f"{FULL_MIN_GEOMEAN_SPEEDUP}x acceptance target"
-        )
-        assert vector_geomean >= FULL_MIN_GEOMEAN_VECTOR, (
-            f"vectorized replay geomean speedup {vector_geomean:.2f}x "
-            f"over packed replay is below the {FULL_MIN_GEOMEAN_VECTOR}x "
-            f"acceptance target"
+            f"production replay geomean speedup {geomean:.2f}x is below "
+            f"the {FULL_MIN_GEOMEAN_SPEEDUP}x acceptance target"
         )

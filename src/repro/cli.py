@@ -70,27 +70,6 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry-out", metavar="FILE", default=None,
                         help="telemetry.json destination "
                              "(default ./telemetry.json; with --profile)")
-    parser.add_argument("--engine", default=None,
-                        choices=("compiled", "interp"),
-                        help="execution engine for the trace stage "
-                             "(default: compiled; bit-identical engines, "
-                             "see docs/PERFORMANCE.md)")
-    parser.add_argument("--no-memo", action="store_true",
-                        help="disable warp-replay memoization (results are "
-                             "bit-identical either way, see "
-                             "docs/PERFORMANCE.md)")
-    parser.add_argument("--no-vector", action="store_true",
-                        help="disable vectorized bulk-span replay and fall "
-                             "back to the per-token packed replayer "
-                             "(results are bit-identical either way, see "
-                             "docs/PERFORMANCE.md)")
-    parser.add_argument("--pool", default="shared",
-                        choices=("shared", "fork"),
-                        help="parallel substrate for --jobs: 'shared' "
-                             "(persistent workers + shared-memory arenas, "
-                             "the default) or 'fork' (per-call fork pool; "
-                             "bit-identical results, see "
-                             "docs/PERFORMANCE.md)")
 
 
 def _session_from_args(args) -> AnalysisSession:
@@ -100,11 +79,7 @@ def _session_from_args(args) -> AnalysisSession:
         cache_dir = args.cache_dir or default_cache_dir()
     recorder = Recorder() if getattr(args, "profile", False) else None
     return AnalysisSession(cache_dir=cache_dir, jobs=args.jobs,
-                           recorder=recorder,
-                           engine=getattr(args, "engine", None),
-                           memo=not getattr(args, "no_memo", False),
-                           vector=not getattr(args, "no_vector", False),
-                           pool=getattr(args, "pool", "shared"))
+                           recorder=recorder)
 
 
 def _finish_profile(args, session: AnalysisSession,
@@ -267,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "history", help="perf trajectory of bench metrics")
     history.add_argument("--metric", default=None,
                          help="flattened metric name, e.g. "
-                              "geomean_vector_speedup (see "
+                              "geomean_speedup (see "
                               "'bench_compare --list-metrics')")
     history.add_argument("--workload", default=None,
                          help="per-workload pivot: every tracked "
@@ -320,16 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the on-disk artifact cache (loses the "
                             "store-warm fast path across restarts)")
-    serve.add_argument("--engine", default=None,
-                       choices=("compiled", "interp"),
-                       help="execution engine for the trace stage")
-    serve.add_argument("--no-memo", action="store_true",
-                       help="disable warp-replay memoization")
-    serve.add_argument("--no-vector", action="store_true",
-                       help="disable vectorized bulk-span replay")
-    serve.add_argument("--pool", default="shared",
-                       choices=("shared", "fork"),
-                       help="parallel substrate for --jobs (default shared)")
     serve.add_argument("--shards", type=int, default=0,
                        help="session worker processes serving jobs "
                             "horizontally; sweep cells fan out across "
@@ -739,9 +704,6 @@ def _cmd_pool(args) -> int:
     print(f"start method:   {info['start_method']}")
     print(f"shared memory:  "
           f"{'available' if info['shm_supported'] else 'unavailable'}")
-    print(f"vector backend: {info['vector_backend']} "
-          f"(numpy accelerator "
-          f"{'active' if info['numpy_accel'] else 'inactive'})")
     if "ping_pids" in info:
         pids = ", ".join(str(pid) for pid in info["ping_pids"])
         print(f"workers:        {info.get('workers', 0)} alive "
@@ -772,7 +734,6 @@ def _cmd_pool(args) -> int:
             print(f"  shard {row['shard']}: pid {row['pid']}, "
                   f"{'alive' if row['alive'] else 'dead'}, "
                   f"queue {row['queue']}, "
-                  f"vector {row['vector_backend']}, "
                   f"{row['cells_done']} cells, "
                   f"{row['respawns']} respawns")
     return 0

@@ -17,12 +17,7 @@ from .metrics import (
     WarpMetrics,
     transactions_for,
 )
-from .replay import (
-    PackedWarpReplayer,
-    ReplayError,
-    VectorWarpReplayer,
-    WarpReplayer,
-)
+from .replay import ReplayError, VectorWarpReplayer, WarpReplayer
 from .report import AnalysisReport, FunctionReport
 from .warp import POLICIES, form_warps
 
@@ -46,7 +41,6 @@ __all__ = [
     "SegmentStats",
     "WarpMetrics",
     "transactions_for",
-    "PackedWarpReplayer",
     "ReplayError",
     "VectorWarpReplayer",
     "WarpReplayer",

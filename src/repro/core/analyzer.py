@@ -5,9 +5,9 @@ per-function DCFGs -> IPDOM analysis -> warp formation -> lock-step SIMT
 stack replay -> reports.
 
 Warp replays are independent, so :meth:`ThreadFuserAnalyzer.analyze` can
-fan them out over worker processes (the ``jobs`` knob).  Per-warp metrics
-are always merged in warp-index order, so ``jobs=N`` is bit-identical to
-the serial ``jobs=1`` path.
+fan them out over the persistent worker pool (the ``jobs`` knob).
+Per-warp metrics are always merged in warp-index order, so ``jobs=N`` is
+bit-identical to the serial ``jobs=1`` path.
 
 The analyzer is also an instrumentation point of :mod:`repro.obs`: give
 it a :class:`~repro.obs.Recorder` and it times warp formation and replay
@@ -22,17 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from .. import faults
 from .. import pool as pool_mod
 from ..obs import NULL_RECORDER, Telemetry
 from ..tracer.events import TraceSet
 from .dcfg import DCFGSet, build_dcfgs
 from .ipdom import compute_all_ipdoms
-from .metrics import AggregateMetrics, WarpMetrics
-from . import vector as vector_mod
-from .replay import PackedWarpReplayer, VectorWarpReplayer, WarpReplayer
+from .metrics import AggregateMetrics
+from .replay import VectorWarpReplayer
 from .report import AnalysisReport
 from .warp import form_warps
 
@@ -72,57 +70,35 @@ class AnalyzerConfig:
 class ThreadFuserAnalyzer:
     """Analyzes a :class:`TraceSet` into an :class:`AnalysisReport`.
 
-    ``jobs`` > 1 replays warps on that many worker processes;
-    ``jobs=1`` keeps today's in-process serial loop.  ``pool`` picks
-    the parallel substrate: ``"shared"`` (the default) replays on the
-    persistent :mod:`repro.pool` workers over a shared-memory column
-    arena -- zero pool spawns and zero trace pickling on warm calls --
-    while ``"fork"`` keeps the per-call fork pool for platforms
-    without usable shared memory.  The cascade is shared -> fork ->
-    serial; every step is bit-identical, and a run that ends serial
-    despite ``jobs>1`` reports it via the ``pool.fallback`` gauge plus
-    a one-time ``RuntimeWarning`` (never silently).
+    Every warp is replayed by the production
+    :class:`~repro.core.replay.VectorWarpReplayer`, and a warp whose
+    ordered lane-signature tuple matches an already-replayed warp reuses
+    its metrics (a content-addressed memo over
+    :attr:`ThreadTrace.signature`).
+
+    ``jobs`` > 1 replays warps on the persistent :mod:`repro.pool`
+    workers over a shared-memory column arena -- zero pool spawns and
+    zero trace pickling on warm calls; ``jobs=1`` keeps the in-process
+    serial loop.  When the pool is unavailable or fails retryably the
+    run falls back to the bit-identical serial path and reports it via
+    the ``pool.fallback`` gauge plus a one-time ``RuntimeWarning``
+    (never silently).
 
     ``recorder`` is an optional :class:`repro.obs.Recorder`; by default
     the shared no-op recorder is used and instrumentation costs nothing
-    beyond a no-op call per stage.
-
-    ``memo``, ``packed``, and ``vector`` are execution knobs like
-    ``jobs`` (they never change the result, so they stay out of
-    :class:`AnalyzerConfig` and its fingerprint): ``packed`` replays
-    over the columnar :class:`~repro.tracer.packed.PackedTrace` form
-    with batched converged-run accounting, ``vector`` upgrades packed
-    replay to the bulk-span :class:`VectorWarpReplayer` (whole
-    converged spans per step, coalescing computed from whole column
-    slices by :mod:`repro.core.vector`; meaningless without
-    ``packed``), and ``memo`` reuses the metrics of an
-    already-replayed warp when a later warp's ordered lane-signature
-    tuple matches (a content-addressed cache over
-    :attr:`ThreadTrace.signature`).  All default on; ``--no-memo`` and
-    ``--no-vector`` surface them on the CLI.  Memo hit counts and the
-    vectorized token fraction are exported as ``memo.*`` /
-    ``replay.vector_*`` telemetry *gauges*, never counters -- they
-    legitimately differ between ``jobs=1`` and ``jobs=N`` (each shard
-    memoizes locally; memo hits skip replays) while counters must stay
-    bit-identical.
+    beyond a no-op call per stage.  Memo hit counts and the span-consumed
+    token fraction are exported as ``memo.*`` / ``replay.vector_*``
+    telemetry *gauges*, never counters -- they legitimately differ
+    between ``jobs=1`` and ``jobs=N`` (each worker memoizes locally;
+    memo hits skip replays) while counters must stay bit-identical.
     """
 
     def __init__(self, config: Optional[AnalyzerConfig] = None,
-                 jobs: int = 1, recorder=None, memo: bool = True,
-                 packed: bool = True, vector: bool = True,
-                 pool: str = "shared",
+                 jobs: int = 1, recorder=None,
                  stage_timeout: Optional[float] = None) -> None:
-        if pool not in ("shared", "fork"):
-            raise ValueError(
-                f"unknown pool substrate {pool!r} (expected 'shared' or "
-                "'fork')")
         self.config = config or AnalyzerConfig()
         self.jobs = max(1, int(jobs))
         self.obs = recorder if recorder is not None else NULL_RECORDER
-        self.memo = bool(memo)
-        self.packed = bool(packed)
-        self.vector = bool(vector)
-        self.pool = pool
         self.stage_timeout = stage_timeout
 
     def telemetry(self) -> Telemetry:
@@ -132,7 +108,7 @@ class ThreadFuserAnalyzer:
     def prepare(self, traces: TraceSet) -> DCFGSet:
         """Build the DCFGs and IPDOM tables (reusable across warp sizes)."""
         with self.obs.span("prepare"):
-            dcfgs = build_dcfgs(traces, dedupe=self.packed)
+            dcfgs = build_dcfgs(traces, dedupe=True)
             compute_all_ipdoms(dcfgs)
             self.obs.count("prepare.functions", len(dcfgs.functions))
         return dcfgs
@@ -145,8 +121,9 @@ class ThreadFuserAnalyzer:
         ``visitor_factory``, when given, is called once per warp with the
         warp index and must return a replay visitor (or None); the trace
         generator uses this to emit simulator traces during replay.
-        Visitors accumulate state in-process, so their presence forces
-        the serial path regardless of ``jobs``.
+        Visitors accumulate state in-process and need every warp's
+        per-block callbacks, so their presence forces fresh serial
+        replays (no memo reuse) regardless of ``jobs``.
         """
         cfg = self.config
         if dcfgs is None:
@@ -154,42 +131,16 @@ class ThreadFuserAnalyzer:
         with self.obs.span("form_warps"):
             warps = form_warps(traces, cfg.warp_size, cfg.batching)
         with self.obs.span("replay_warps"):
-            per_warp: Optional[List[Tuple[WarpMetrics, int]]] = None
-            memo_lookups = memo_hits = 0
-            # [vector_tokens, total_tokens] over every fresh replay
-            # (memo hits skip replays, so they contribute to neither).
-            vstats = [0, 0]
-            # Visitors need their per-block callbacks, so their presence
-            # forces fresh serial replays (no memo reuse) -- the generated
-            # warp traces stay identical with memoization on or off.
-            use_memo = self.memo and visitor_factory is None
-            use_vector = self.packed and self.vector
-            wanted_parallel = (self.jobs > 1 and visitor_factory is None
-                               and len(warps) > 1)
-            if wanted_parallel:
-                outcome = None
-                if self.pool == "shared" and self.packed:
-                    outcome = pool_mod.replay_warps_shared(
-                        traces, warps, dcfgs, cfg, self.jobs,
-                        memo=use_memo, vector=use_vector,
-                        stage_timeout=self.stage_timeout,
-                        obs=self.obs,
-                    )
-                    if outcome is None:
-                        # Shared-memory substrate unavailable or failed
-                        # retryably; cascade to the per-call fork pool.
-                        self.obs.gauge("pool.shared_fallback", 1)
+            outcome = None
+            if self.jobs > 1 and visitor_factory is None and len(warps) > 1:
+                outcome = pool_mod.replay_warps_shared(
+                    traces, warps, dcfgs, cfg, self.jobs,
+                    stage_timeout=self.stage_timeout, obs=self.obs,
+                )
                 if outcome is None:
-                    outcome = _replay_parallel(
-                        warps, dcfgs, cfg, self.jobs, memo=use_memo,
-                        packed=self.packed, vector=use_vector,
-                        stage_timeout=self.stage_timeout,
-                    )
-                if outcome is None:
-                    # Every substrate bowed out; the serial path below
-                    # is bit-identical to jobs=1.  Never silent: the
-                    # degradation is visible as a gauge and a one-time
-                    # warning.
+                    # The serial path below is bit-identical to jobs=1.
+                    # Never silent: the degradation is visible as a
+                    # gauge and a one-time warning.
                     self.obs.gauge("faults.replay_fallbacks", 1)
                     self.obs.gauge("pool.fallback", 1)
                     pool_mod.warn_once(
@@ -198,55 +149,21 @@ class ThreadFuserAnalyzer:
                         "worker pool); falling back to the bit-identical "
                         "serial path",
                     )
-                else:
-                    per_warp, memo_lookups, memo_hits, pair = outcome
-                    vstats = list(pair)
-            if per_warp is None:
-                per_warp = []
-                memo_table: Dict[tuple, WarpMetrics] = {}
-                for warp_index, warp in enumerate(warps):
-                    visitor = (
-                        visitor_factory(warp_index) if visitor_factory
-                        else None
-                    )
-                    if use_memo:
-                        key = _memo_key(warp)
-                        memo_lookups += 1
-                        cached = memo_table.get(key)
-                        if cached is not None:
-                            memo_hits += 1
-                            per_warp.append((cached.clone(), len(warp)))
-                            continue
-                        metrics = _replay_warp(warp, dcfgs, cfg, None,
-                                               packed=self.packed,
-                                               vector=use_vector,
-                                               stats=vstats)
-                        memo_table[key] = metrics
-                        per_warp.append((metrics, len(warp)))
-                    else:
-                        per_warp.append(
-                            (_replay_warp(warp, dcfgs, cfg, visitor,
-                                          packed=self.packed,
-                                          vector=use_vector,
-                                          stats=vstats), len(warp))
-                        )
-            if use_memo:
-                self.obs.gauge("memo.warp_lookups", memo_lookups)
-                self.obs.gauge("memo.warp_hits", memo_hits)
-            if use_vector:
-                # Gauges, never counters: the fraction legitimately
-                # varies with jobs/memo (hits skip whole replays)
-                # while reports and counters stay bit-identical.
-                vector_tokens, total_tokens = vstats
-                self.obs.gauge("replay.vector_tokens", vector_tokens)
-                self.obs.gauge("replay.vector_total_tokens", total_tokens)
-                self.obs.gauge(
-                    "replay.vector_token_fraction",
-                    vector_tokens / total_tokens if total_tokens else 0.0)
-                self.obs.gauge("replay.vector_backend_numpy",
-                               1 if vector_mod.numpy_active() else 0)
+            if outcome is None:
+                memo = {} if visitor_factory is None else None
+                outcome = replay_warps(enumerate(warps), dcfgs, cfg, memo,
+                                       visitor_factory=visitor_factory)
+            results, lookups, hits, vector_tokens, total_tokens = outcome
+            if visitor_factory is None:
+                self.obs.gauge("memo.warp_lookups", lookups)
+                self.obs.gauge("memo.warp_hits", hits)
+            self.obs.gauge("replay.vector_tokens", vector_tokens)
+            self.obs.gauge("replay.vector_total_tokens", total_tokens)
+            self.obs.gauge(
+                "replay.vector_token_fraction",
+                vector_tokens / total_tokens if total_tokens else 0.0)
         aggregate = AggregateMetrics(cfg.warp_size)
-        for metrics, n_threads in per_warp:
+        for _index, metrics, n_threads in results:
             aggregate.merge(metrics, n_threads=n_threads)
         self._record_replay_counters(aggregate)
         return AnalysisReport(
@@ -286,34 +203,49 @@ class ThreadFuserAnalyzer:
         obs.maximum("replay.stack_depth_hwm", aggregate.stack_depth_hwm)
 
 
-def _replay_warp(warp, dcfgs: DCFGSet, cfg: AnalyzerConfig,
-                 visitor=None, packed: bool = True, vector: bool = True,
-                 stats: Optional[list] = None) -> WarpMetrics:
-    """Replay one warp with the selected replayer.
+def replay_warps(warps: Iterable[Tuple[int, list]], dcfgs: DCFGSet,
+                 cfg: AnalyzerConfig, memo: Optional[dict] = None,
+                 key_prefix: tuple = (), visitor_factory=None):
+    """Replay ``(index, warp)`` pairs in order with the production replayer.
 
-    ``stats``, when given, is a ``[vector_tokens, total_tokens]``
-    accumulator the caller aggregates into the ``replay.vector_*``
-    gauges.
+    ``memo`` maps ``key_prefix`` plus a warp's :func:`_memo_key` to the
+    metrics of an earlier replay; a warp whose key is present reuses a
+    clone of them instead of replaying, and fresh replays are stored.
+    ``None`` disables reuse.  The serial path passes a per-call table
+    and no prefix; pool workers pass their resident table and a prefix
+    naming the DCFGs and config, so the table can span calls.
+
+    Returns ``(results, memo_lookups, memo_hits, vector_tokens,
+    total_tokens)`` with results as ``(index, WarpMetrics, n_threads)``;
+    the token pair counts only fresh replays (hits skip the replay).
     """
-    if not packed:
-        replayer_cls = WarpReplayer
-    elif vector:
-        replayer_cls = VectorWarpReplayer
-    else:
-        replayer_cls = PackedWarpReplayer
-    replayer = replayer_cls(
-        warp,
-        dcfgs,
-        warp_size=cfg.warp_size,
-        emulate_locks=cfg.emulate_locks,
-        visitor=visitor,
-        lock_reconvergence=cfg.lock_reconvergence,
-    )
-    metrics = replayer.run()
-    if stats is not None:
-        stats[0] += replayer.vector_tokens
-        stats[1] += replayer.total_tokens
-    return metrics
+    results = []
+    lookups = hits = vector_tokens = total_tokens = 0
+    for index, warp in warps:
+        key = None
+        if memo is not None:
+            key = key_prefix + _memo_key(warp)
+            lookups += 1
+            cached = memo.get(key)
+            if cached is not None:
+                hits += 1
+                results.append((index, cached.clone(), len(warp)))
+                continue
+        replayer = VectorWarpReplayer(
+            warp,
+            dcfgs,
+            warp_size=cfg.warp_size,
+            emulate_locks=cfg.emulate_locks,
+            visitor=visitor_factory(index) if visitor_factory else None,
+            lock_reconvergence=cfg.lock_reconvergence,
+        )
+        metrics = replayer.run()
+        vector_tokens += replayer.vector_tokens
+        total_tokens += replayer.total_tokens
+        if key is not None:
+            memo[key] = metrics
+        results.append((index, metrics, len(warp)))
+    return results, lookups, hits, vector_tokens, total_tokens
 
 
 def _memo_key(warp) -> tuple:
@@ -328,96 +260,12 @@ def _memo_key(warp) -> tuple:
     return (warp[0].root, tuple(trace.signature for trace in warp))
 
 
-def _replay_shard(
-        indices: List[int]
-) -> Tuple[List[Tuple[int, WarpMetrics, int]], int, int, int, int]:
-    faults.check("pool.worker", f"replay:{indices[0] if indices else '-'}")
-    warps, dcfgs, cfg, memo, packed, vector = pool_mod.fork_state()
-    out = []
-    memo_table: Dict[tuple, WarpMetrics] = {}
-    lookups = hits = 0
-    vstats = [0, 0]
-    for index in indices:
-        warp = warps[index]
-        if memo:
-            key = _memo_key(warp)
-            lookups += 1
-            cached = memo_table.get(key)
-            if cached is not None:
-                hits += 1
-                out.append((index, cached.clone(), len(warp)))
-                continue
-            metrics = _replay_warp(warp, dcfgs, cfg, packed=packed,
-                                   vector=vector, stats=vstats)
-            memo_table[key] = metrics
-            out.append((index, metrics, len(warp)))
-        else:
-            out.append((index, _replay_warp(warp, dcfgs, cfg, packed=packed,
-                                            vector=vector, stats=vstats),
-                        len(warp)))
-    return out, lookups, hits, vstats[0], vstats[1]
-
-
-def _replay_parallel(
-        warps, dcfgs: DCFGSet, cfg: AnalyzerConfig, jobs: int,
-        memo: bool = True, packed: bool = True, vector: bool = True,
-        stage_timeout: Optional[float] = None,
-) -> Optional[Tuple[List[Tuple[WarpMetrics, int]], int, int,
-                    Tuple[int, int]]]:
-    """Replay ``warps`` on a fork pool; None means "fall back to serial".
-
-    Returns ``(per_warp, memo_lookups, memo_hits, (vector_tokens,
-    total_tokens))`` on success.  Warps
-    are striped across shards for load balance; results are re-sorted by
-    warp index before merging so aggregation order (and therefore every
-    dict insertion order in the report) matches the serial path exactly.
-    Each shard keeps its own memo table (forked workers share no state),
-    so hit counts vary with ``jobs`` even though the metrics do not.
-
-    Crash safety is :func:`repro.pool.fork_map`'s retry-classification
-    contract: a worker that dies or times out makes the outcome
-    incomplete -- answered here with the serial fallback (``None``,
-    partial results discarded so aggregation order never changes) --
-    while a worker exception that is a *bug* in replay code propagates
-    with its original traceback; the fallback must never mask defects.
-    """
-    if packed:
-        # Pack (and verify) in the parent so the forked workers inherit
-        # the columnar buffers copy-on-write instead of re-packing the
-        # same streams once per shard.
-        for warp in warps:
-            for trace in warp:
-                trace.packed().ensure_verified()
-    jobs = min(jobs, len(warps))
-    shards = [list(range(j, len(warps), jobs)) for j in range(jobs)]
-    outcome = pool_mod.fork_map(
-        _replay_shard, shards, jobs,
-        tokens=[f"replay:{shard[0]}" for shard in shards],
-        stage_timeout=stage_timeout,
-        state=(warps, dcfgs, cfg, memo, packed, vector),
-    )
-    if outcome is None or not outcome.complete(len(shards)):
-        return None
-    chunks = [outcome.results[index] for index in range(len(shards))]
-    lookups = sum(chunk[1] for chunk in chunks)
-    hits = sum(chunk[2] for chunk in chunks)
-    vector_tokens = sum(chunk[3] for chunk in chunks)
-    total_tokens = sum(chunk[4] for chunk in chunks)
-    flat = sorted(
-        (item for chunk in chunks for item in chunk[0]), key=lambda t: t[0]
-    )
-    per_warp = [(metrics, n_threads) for _index, metrics, n_threads in flat]
-    return per_warp, lookups, hits, (vector_tokens, total_tokens)
-
-
 def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
                      batching: str = "linear",
                      emulate_locks: bool = False,
                      lock_reconvergence: str = "unlock",
                      config: Optional[AnalyzerConfig] = None,
-                     jobs: int = 1, memo: bool = True,
-                     packed: bool = True, vector: bool = True,
-                     pool: str = "shared",
+                     jobs: int = 1,
                      stage_timeout: Optional[float] = None):
     """SIMT efficiency across warp widths (the Fig. 1 sweep).
 
@@ -431,16 +279,12 @@ def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
         batching=batching, emulate_locks=emulate_locks,
         lock_reconvergence=lock_reconvergence,
     )
-    analyzer = ThreadFuserAnalyzer(base, jobs=jobs, memo=memo, packed=packed,
-                                   vector=vector, pool=pool,
-                                   stage_timeout=stage_timeout)
-    dcfgs = analyzer.prepare(traces)
+    dcfgs = ThreadFuserAnalyzer(base).prepare(traces)
     out = {}
     for warp_size in warp_sizes:
         sized = dataclasses.replace(base, warp_size=warp_size)
         out[warp_size] = ThreadFuserAnalyzer(
-            sized, jobs=jobs, memo=memo, packed=packed, vector=vector,
-            pool=pool, stage_timeout=stage_timeout,
+            sized, jobs=jobs, stage_timeout=stage_timeout,
         ).analyze(traces, dcfgs=dcfgs)
     return out
 
@@ -449,9 +293,7 @@ def analyze_traces(traces: TraceSet, warp_size: int = 32,
                    batching: str = "linear",
                    emulate_locks: bool = False,
                    lock_reconvergence: str = "unlock",
-                   jobs: int = 1, memo: bool = True,
-                   packed: bool = True, vector: bool = True,
-                   pool: str = "shared",
+                   jobs: int = 1,
                    stage_timeout: Optional[float] = None) -> AnalysisReport:
     """One-call convenience wrapper around :class:`ThreadFuserAnalyzer`."""
     config = AnalyzerConfig(
@@ -459,6 +301,5 @@ def analyze_traces(traces: TraceSet, warp_size: int = 32,
         lock_reconvergence=lock_reconvergence,
     )
     return ThreadFuserAnalyzer(
-        config, jobs=jobs, memo=memo, packed=packed, vector=vector,
-        pool=pool, stage_timeout=stage_timeout,
+        config, jobs=jobs, stage_timeout=stage_timeout,
     ).analyze(traces)

@@ -182,7 +182,7 @@ def _scan_packed_thread(root: str, packed, dcfgs: DCFGSet) -> None:
 def build_dcfgs(traces: TraceSet, dedupe: bool = False) -> DCFGSet:
     """Build merged per-function DCFGs from all logical-thread traces.
 
-    ``dedupe=True`` (used by the packed engine) skips re-scanning
+    ``dedupe=True`` (used by the analyzer) skips re-scanning
     threads whose control-flow columns -- root, names, kinds, arg --
     exactly match an already-scanned thread's: a duplicate scan adds no
     edges and no entries, so skipping it leaves every graph

@@ -16,6 +16,12 @@ them --
 * every lock-step memory instruction is coalesced into 32-byte
   transactions across the active lanes.
 
+Two replayers implement these rules.  :class:`VectorWarpReplayer` is
+the production one: it walks packed columnar traces and consumes whole
+converged spans per step.  :class:`WarpReplayer` walks token tuples one
+block at a time; it is the reference oracle the parity tests compare
+the production path against.
+
 Besides the Eq. 1 counters, the replay records its own observable
 behavior into :class:`~repro.core.metrics.WarpMetrics` -- the SIMT-stack
 depth high-water mark (live entries across all nested frames), the
@@ -145,7 +151,7 @@ class WarpReplayer:
         #: Live SIMT-stack entries summed over all nested frames; its
         #: maximum is the warp's ``stack_depth_hwm`` metric.
         self._depth = 0
-        #: Tokens consumed through vectorized bulk-span paths (only
+        #: Tokens consumed through span paths (only
         #: :class:`VectorWarpReplayer` advances this) out of the warp's
         #: total; the analyzer aggregates them into the
         #: ``replay.vector_*`` telemetry gauges.
@@ -544,7 +550,7 @@ class WarpReplayer:
 
 
 # ----------------------------------------------------------------------
-# Packed-column replay.
+# Production replay over packed columns.
 
 
 class _PCursor:
@@ -557,7 +563,7 @@ class _PCursor:
 
     __slots__ = ("packed", "pos", "n", "kinds", "arg", "nins", "cumn",
                  "moff", "mslot", "mstore", "maddr", "msize", "names",
-                 "runs", "msegf", "msegl", "mcnt", "bext")
+                 "msegf", "msegl", "mcnt", "bext")
 
     def __init__(self, packed) -> None:
         packed.ensure_verified()
@@ -574,27 +580,48 @@ class _PCursor:
         self.maddr = packed.maddr
         self.msize = packed.msize
         self.names = packed.names
-        self.runs = packed.runs
         self.msegf = packed.msegf
         self.msegl = packed.msegl
         self.mcnt = packed.mcnt
         self.bext = packed.bext
 
 
-class PackedWarpReplayer(WarpReplayer):
-    """Lock-step replay over packed columnar traces.
+class VectorWarpReplayer(WarpReplayer):
+    """The production replayer: lock-step replay over packed columns.
 
-    Behaviorally identical to :class:`WarpReplayer` -- same metrics, same
-    visitor callbacks, same error conditions -- but its cursors walk the
-    :class:`~repro.tracer.packed.PackedTrace` int64 columns directly, and
-    fully-converged runs of memory-less block tokens are consumed with a
-    single batched :meth:`~repro.core.metrics.WarpMetrics.account_block`
-    call (sound because block accounting is linear in the instruction
-    count and every skipped intermediate regroup is provably convergent:
-    the lanes' packed ``arg`` slices for the run compare equal at C
-    speed).  The batched path is disabled when a visitor is attached,
-    which needs its per-block ``on_issue`` callbacks.
+    Behaviorally identical to the reference :class:`WarpReplayer` --
+    same metrics, same visitor callbacks, same error conditions -- but
+    its cursors walk the :class:`~repro.tracer.packed.PackedTrace` int64
+    columns directly, and it consumes whole converged spans per step:
+    the longest prefix of a ``B``-token run (the ``bext`` column,
+    memory blocks included) on which the lanes provably agree.  Equal
+    ``arg`` slices make every intermediate regroup convergent and equal
+    ``mcnt``/``mslot``/``mstore`` slices make every intermediate block
+    aligned, so instruction accounting collapses to one prefix-sum
+    subtraction (``cumn``) and 32-byte coalescing is computed from
+    whole ``msegf``/``msegl`` slices by :mod:`repro.core.vector`.
+
+    On any disagreement, on spans shorter than :attr:`MIN_SPAN`, and
+    whenever a visitor is attached (it needs its per-block callbacks)
+    the replayer steps one block at a time, so divergence partitioning,
+    lock serialization, record-misalignment handling, and every error
+    message match the oracle's; ``tests/test_replay_memo.py`` enforces
+    bit-identical reports.  A single-lane entry cannot diverge, so its
+    whole leg is swept in one pass (:meth:`_solo_leg`).
+
+    ``vector_tokens`` counts tokens consumed through the span paths;
+    together with ``total_tokens`` it feeds the ``replay.vector_*``
+    telemetry *gauges* (never counters: the fraction varies with
+    ``jobs`` and memo hits while reports and counters stay
+    bit-identical).
     """
+
+    #: Minimum representative-lane ``bext`` run for the span step.
+    #: Below it the per-lane agreement checks cannot amortize over the
+    #: span and the per-block step is faster (measured on the
+    #: short-run, divergence-heavy workloads, e.g. pigz); the solo path
+    #: has no cross-lane checks and ignores this floor.
+    MIN_SPAN = 8
 
     def run(self) -> WarpMetrics:
         """Replay the whole warp; returns its metrics."""
@@ -642,7 +669,7 @@ class PackedWarpReplayer(WarpReplayer):
         if entry != VEXIT:
             # Verify lock-step once per frame: every lane must open on the
             # same entry block.  From here on each entry mask is formed
-            # from verified next-token scans (regroup, batch slice
+            # from verified next-token scans (regroup, span slice
             # compares, lock targets), so the stepper consumes blocks
             # unconditionally.
             cursors = self.cursors
@@ -681,83 +708,25 @@ class PackedWarpReplayer(WarpReplayer):
 
     def _step_entry(self, function: str, e: _Entry,
                     stack: List[_Entry]) -> None:
+        if self.visitor is None:
+            if len(e.mask) == 1:
+                self._solo_leg(function, e)
+                return
+            if self._step_span(function, e, stack):
+                return
+        self._step_block(function, e, stack)
+
+    def _step_block(self, function: str, e: _Entry,
+                    stack: List[_Entry]) -> None:
+        """Consume one block on every lane of ``e``, then regroup.
+
+        Lane/stream agreement was verified when this mask was formed
+        (frame-entry precheck, regroup scan, span compares), so
+        consumption is unconditional.
+        """
         block_addr = e.pc
         mask = e.mask
         cursors = self.cursors
-
-        if self.visitor is None:
-            # A single-lane entry cannot diverge: sweep its whole leg in
-            # one pass instead of stepping block by block.
-            if len(mask) == 1:
-                self._solo_leg(function, e)
-                return
-
-            # Batched fast path: when the representative lane sits on a
-            # run of memory-less block tokens starting at this block,
-            # find the longest prefix every lane shares (same addresses,
-            # all memory-less) and consume it with one accounting call.
-            rep = cursors[mask[0]]
-            rep_pos = rep.pos
-            if (rep_pos < rep.n and rep.runs[rep_pos]
-                    and rep.arg[rep_pos] == block_addr):
-                run = rep.runs[rep_pos]
-                # The entry must stop at its reconvergence PC so the
-                # outer entry replays that block at its wider mask:
-                # truncate the batch before the first rpc occurrence.
-                # Base entries (rpc=VEXIT, where the long runs live) skip
-                # the scan -- VEXIT is never a block address.
-                rpc = e.rpc
-                if rpc != VEXIT:
-                    arg = rep.arg
-                    for i in range(1, run):
-                        if arg[rep_pos + i] == rpc:
-                            run = i
-                            break
-                # Optimistic single pass: converged lanes share the whole
-                # run, so each lane costs one runs[] read and one slice
-                # compare at C speed.
-                ref = rep.arg[rep_pos:rep_pos + run]
-                converged = True
-                for i in range(1, len(mask)):
-                    cursor = cursors[mask[i]]
-                    pos = cursor.pos
-                    if (cursor.runs[pos] < run
-                            or cursor.arg[pos:pos + run] != ref):
-                        converged = False
-                        break
-                if not converged:
-                    # Clamp to the shortest lane run and retry once: lanes
-                    # that share a shorter memory-less prefix still batch.
-                    for i in range(1, len(mask)):
-                        cursor = cursors[mask[i]]
-                        other = cursor.runs[cursor.pos]
-                        if other < run:
-                            run = other
-                            if not run:
-                                break
-                    if run:
-                        ref = ref[:run]
-                        converged = True
-                        for i in range(1, len(mask)):
-                            cursor = cursors[mask[i]]
-                            if cursor.arg[cursor.pos:
-                                          cursor.pos + run] != ref:
-                                converged = False
-                                break
-                if run and converged:
-                    self.metrics.account_block(
-                        function,
-                        rep.cumn[rep_pos + run] - rep.cumn[rep_pos],
-                        len(mask))
-                    for lane in mask:
-                        cursors[lane].pos += run
-                    self._post_block(function, e, stack, ref[-1])
-                    return
-
-        # Generic single-block path (divergence-adjacent and memory
-        # blocks).  Lane/stream agreement was verified when this mask was
-        # formed (frame-entry precheck, regroup scan, batch slice
-        # compare), so consumption is unconditional.
         for lane in mask:
             cursors[lane].pos += 1
         rep = cursors[mask[0]]
@@ -771,29 +740,173 @@ class PackedWarpReplayer(WarpReplayer):
             self._coalesce_lanes(function, block_addr, mask)
         self._post_block(function, e, stack, block_addr)
 
+    def _step_span(self, function: str, e: _Entry,
+                   stack: List[_Entry]) -> bool:
+        """Consume the longest span every lane of ``e`` agrees on.
+
+        Returns False, having consumed nothing, when no span beyond the
+        current block is worth taking; the caller then steps one block.
+        """
+        mask = e.mask
+        cursors = self.cursors
+        rep = cursors[mask[0]]
+        rep_pos = rep.pos
+        run = rep.bext[rep_pos] if rep_pos < rep.n else 0
+        if run < self.MIN_SPAN or rep.arg[rep_pos] != e.pc:
+            # Too short to amortize the cross-lane span checks, or not
+            # sitting on this entry's block token (the per-block step
+            # raises the precise stream error for the latter).
+            return False
+        rpc = e.rpc
+        if run > 1 and rpc != VEXIT:
+            # The entry must stop at its reconvergence PC so the outer
+            # entry replays that block at its wider mask.  Base entries
+            # (rpc=VEXIT, where the long spans live) skip the scan.
+            cut = vector.first_index(rep.arg, rep_pos + 1,
+                                     rep_pos + run, rpc)
+            if cut >= 0:
+                run = cut - rep_pos
+        if run <= 1:
+            # No span beyond the current block: the single-block step
+            # is both exact and cheaper than the bulk machinery for one
+            # token.  (No MIN_SPAN floor here: the preamble and rpc scan
+            # are already paid, so consuming even a short span beats
+            # re-paying them per stepped block.)
+            return False
+        # Clamp to the longest prefix every lane shares, block addresses
+        # and record shapes alike.  Stepping that prefix one block at a
+        # time would regroup convergently at every boundary (equal next
+        # addresses) with no event tokens in between (``bext`` runs are
+        # all-``B``), so consuming it whole and regrouping once at the
+        # end is exact; the first disagreeing block is left to the
+        # per-block step, which applies the oracle's alignment rules and
+        # error messages.
+        # Lanes checked before a later clamp stay valid: agreement on a
+        # span implies agreement on every prefix of it.  The common
+        # converged case costs two C-speed slice compares per lane;
+        # ``prefix_len`` runs only on an actual mismatch.
+        n_mask = len(mask)
+        rep_lo = rep.moff[rep_pos]
+        # A record-free representative span needs no record-shape
+        # agreement at all: lanes cannot carry *fewer* records than
+        # zero, and the oracle ignores lanes' extra records outright.
+        spanned = rep.moff[rep_pos + run] != rep_lo
+        ref_arg = rep.arg[rep_pos:rep_pos + run]
+        ref_cnt = rep.mcnt[rep_pos:rep_pos + run] if spanned else None
+        for i in range(1, n_mask):
+            cursor = cursors[mask[i]]
+            pos = cursor.pos
+            k = cursor.bext[pos]
+            if k < run:
+                if k <= 1:
+                    return False
+                run = k
+                ref_arg = ref_arg[:k]
+                if spanned:
+                    ref_cnt = ref_cnt[:k]
+            if cursor.arg[pos:pos + run] == ref_arg and (
+                    not spanned
+                    or cursor.mcnt[pos:pos + run] == ref_cnt):
+                continue
+            if run <= 32:
+                # Short spans (the common intra-run divergence case):
+                # an element-wise scan beats slice bisection.
+                c_arg = cursor.arg
+                c_cnt = cursor.mcnt
+                k = 0
+                while (c_arg[pos + k] == ref_arg[k]
+                       and (not spanned or c_cnt[pos + k] == ref_cnt[k])):
+                    k += 1  # the failed slice compare bounds k < run
+            else:
+                k = vector.prefix_len(rep.arg, rep_pos, cursor.arg,
+                                      pos, run)
+                if k and spanned:
+                    k = vector.prefix_len(rep.mcnt, rep_pos, cursor.mcnt,
+                                          pos, k)
+            if k <= 1:
+                return False
+            run = k
+            ref_arg = ref_arg[:k]
+            if spanned:
+                ref_cnt = ref_cnt[:k]
+        nrec = rep.moff[rep_pos + run] - rep_lo
+        los = [rep_lo]
+        if nrec:
+            ref_slot = rep.mslot[rep_lo:rep_lo + nrec]
+            ref_store = rep.mstore[rep_lo:rep_lo + nrec]
+            for i in range(1, n_mask):
+                cursor = cursors[mask[i]]
+                lo = cursor.moff[cursor.pos]
+                if (cursor.mslot[lo:lo + nrec] != ref_slot
+                        or cursor.mstore[lo:lo + nrec] != ref_store):
+                    # Same addresses and record counts but different
+                    # slot/store shapes -- possible only for pathological
+                    # streams; the per-block step reproduces the exact
+                    # outcome.
+                    return False
+                los.append(lo)
+        self.metrics.account_block(
+            function, rep.cumn[rep_pos + run] - rep.cumn[rep_pos], n_mask)
+        if nrec:
+            self._coalesce_span(mask, los, nrec)
+        for lane in mask:
+            cursors[lane].pos += run
+        self.vector_tokens += run * n_mask
+        self._post_block(function, e, stack, rep.arg[rep_pos + run - 1])
+        return True
+
+    def _coalesce_span(self, mask: List[int], los: List[int],
+                       nrec: int) -> None:
+        """Bulk-coalesce an aligned span of memory records across lanes.
+
+        Exact parity with per-record coalescing: each record's
+        transaction count is the size of the union of the lanes'
+        32-byte segment ranges, computed by :mod:`repro.core.vector` from
+        whole ``msegf``/``msegl`` slices; the segment class comes from
+        the representative lane's address, as in
+        :meth:`~repro.core.metrics.WarpMetrics.account_memory`.
+        """
+        cursors = self.cursors
+        rep = cursors[mask[0]]
+        fcols = [cursors[lane].msegf for lane in mask]
+        lcols = [cursors[lane].msegl for lane in mask]
+        heap_ins, heap_txn, stack_ins, stack_txn = vector.span_stats(
+            fcols, lcols, los, rep.maddr, nrec, STACK_BASE)
+        n_lanes = len(mask)
+        if heap_ins:
+            seg = self.metrics.memory[SEG_HEAP]
+            seg.instructions += heap_ins
+            seg.accesses += heap_ins * n_lanes
+            seg.transactions += heap_txn
+        if stack_ins:
+            seg = self.metrics.memory[SEG_STACK]
+            seg.instructions += stack_ins
+            seg.accesses += stack_ins * n_lanes
+            seg.transactions += stack_txn
+
     def _solo_leg(self, function: str, e: _Entry) -> None:
         """Consume a single-lane entry's whole leg in one column sweep.
 
         A solo mask cannot diverge, so the per-block regroup degenerates
         to "pc := next block"; this loop runs the entire leg -- nested
-        call frames included -- against the packed columns directly,
-        stopping exactly where the generic stepper would: at the entry's
-        reconvergence PC, at the enclosing frame's RET, or at stream
-        end.  Metric parity with per-block stepping is exact: block
-        accounting is linear, so per-function issue sums flush on frame
-        transitions; nested frames mirror
-        :meth:`WarpReplayer._replay_frame`'s stack-depth bookkeeping
-        (their base entries pop without reconvergence events); and a
-        solo lock acquisition is one uncontended lock event regardless
-        of the emulation policy.
+        call frames included -- over maximal ``bext`` spans, records
+        included, stopping exactly where per-block stepping would: at
+        the entry's reconvergence PC, at the enclosing frame's RET, or
+        at stream end.  Metric parity with per-block stepping is exact:
+        block accounting is linear, so per-function issue sums flush on
+        frame transitions; each span's records are accounted in bulk by
+        :mod:`repro.core.vector`; nested frames mirror
+        :meth:`_replay_frame`'s stack-depth bookkeeping (their base
+        entries pop without reconvergence events); and a solo lock
+        acquisition is one uncontended lock event regardless of the
+        emulation policy.
         """
         lane = e.mask[0]
         cursor = self.cursors[lane]
         kinds = cursor.kinds
         arg = cursor.arg
-        nins = cursor.nins
         cumn = cursor.cumn
-        runs = cursor.runs
+        bext = cursor.bext
         moff = cursor.moff
         maddr = cursor.maddr
         msegf = cursor.msegf
@@ -836,28 +949,32 @@ class PackedWarpReplayer(WarpReplayer):
                     cursor.pos = pos
                     e.pc = rpc
                     return
-                run = runs[pos]
-                if run:
-                    # Memory-less run: consume it whole.  Only the
-                    # enclosing frame can hit the reconvergence PC;
-                    # nested frames replay to their own virtual exit.
-                    if depth == 0 and rpc != VEXIT:
-                        for i in range(1, run):
-                            if arg[pos + i] == rpc:
-                                run = i
-                                break
-                    pend += cumn[pos + run] - cumn[pos]
-                    pos += run
-                else:
-                    pend += nins[pos]
-                    hi = moff[pos + 1]
-                    for j in range(moff[pos], hi):
-                        seg = (stack_seg if maddr[j] >= STACK_BASE
-                               else heap)
-                        seg.instructions += 1
-                        seg.accesses += 1
-                        seg.transactions += msegl[j] - msegf[j] + 1
-                    pos += 1
+                run = bext[pos]
+                if depth == 0 and rpc != VEXIT and run > 1:
+                    # Only the enclosing frame can hit the
+                    # reconvergence PC; nested frames replay to their
+                    # own virtual exit.
+                    cut = vector.first_index(arg, pos + 1, pos + run,
+                                             rpc)
+                    if cut >= 0:
+                        run = cut - pos
+                pend += cumn[pos + run] - cumn[pos]
+                lo = moff[pos]
+                hi = moff[pos + run]
+                if hi != lo:
+                    (heap_ins, heap_txn, stack_ins,
+                     stack_txn) = vector.solo_span_stats(
+                        maddr, msegf, msegl, lo, hi, STACK_BASE)
+                    if heap_ins:
+                        heap.instructions += heap_ins
+                        heap.accesses += heap_ins
+                        heap.transactions += heap_txn
+                    if stack_ins:
+                        stack_seg.instructions += stack_ins
+                        stack_seg.accesses += stack_ins
+                        stack_seg.transactions += stack_txn
+                self.vector_tokens += run
+                pos += run
                 if pos >= n:
                     continue  # termination handled at the loop top
                 # At most one post-block event token follows a block.
@@ -1228,311 +1345,3 @@ class PackedWarpReplayer(WarpReplayer):
         finally:
             # Publish the local position on every exit path.
             cursor.pos = pos
-
-
-class VectorWarpReplayer(PackedWarpReplayer):
-    """Vectorized lock-step replay: whole converged spans per step.
-
-    Extends :class:`PackedWarpReplayer` by consuming, in one step, the
-    longest prefix of a ``B``-token run -- memory blocks included (the
-    ``bext`` column) -- on which the lanes provably agree: the packed
-    ``arg`` and ``mcnt`` columns share a common prefix (found by the
-    backend's ``prefix_len``, C-speed slice bisection or numpy
-    ``argmax``) and the per-record ``mslot``/``mstore`` slices compare
-    equal.  Equal ``arg`` slices make every intermediate regroup
-    convergent and equal record columns make every intermediate block
-    aligned, so instruction accounting collapses to one prefix-sum
-    subtraction (``cumn``) and 32-byte coalescing is computed from
-    whole ``msegf``/``msegl`` slices by the active
-    :mod:`repro.core.vector` backend (stdlib ``array`` slicing, or
-    numpy via the ``accel`` extra -- selected at import time, never
-    changing results).  On any disagreement the span falls back to the
-    parent's per-token step, so divergence partitioning, lock
-    serialization, record-misalignment handling, and every error
-    message stay exactly the parent's -- the parity matrix in
-    ``tests/test_replay_memo.py`` enforces bit-identical reports.
-
-    ``vector_tokens`` counts tokens consumed through the bulk-span
-    paths; together with ``total_tokens`` it feeds the
-    ``replay.vector_*`` telemetry *gauges* (never counters: the
-    fraction may vary across ``jobs``/memo settings while reports and
-    counters stay bit-identical).
-    """
-
-    #: Minimum representative-lane ``bext`` run for the bulk path.
-    #: Below it the per-lane agreement checks cannot amortize over the
-    #: span and the parent's per-block step is faster (measured on the
-    #: short-run, divergence-heavy workloads, e.g. pigz); the solo path
-    #: has no cross-lane checks and ignores this floor.
-    MIN_SPAN = 8
-
-    def _step_entry(self, function: str, e: _Entry,
-                    stack: List[_Entry]) -> None:
-        if self.visitor is not None:
-            # Visitors need their per-block callbacks: the parent
-            # already steps block-by-block in that mode.
-            PackedWarpReplayer._step_entry(self, function, e, stack)
-            return
-        mask = e.mask
-        if len(mask) == 1:
-            self._solo_leg(function, e)
-            return
-        cursors = self.cursors
-        rep = cursors[mask[0]]
-        rep_pos = rep.pos
-        run = rep.bext[rep_pos] if rep_pos < rep.n else 0
-        if run < self.MIN_SPAN or rep.arg[rep_pos] != e.pc:
-            # Too short to amortize the cross-lane span checks, or not
-            # sitting on this entry's block token (the parent raises
-            # the precise stream error for the latter).
-            PackedWarpReplayer._step_entry(self, function, e, stack)
-            return
-        rpc = e.rpc
-        if run > 1 and rpc != VEXIT:
-            # The entry must stop at its reconvergence PC so the outer
-            # entry replays that block at its wider mask.  Base entries
-            # (rpc=VEXIT, where the long spans live) skip the scan.
-            cut = vector.first_index(rep.arg, rep_pos + 1,
-                                     rep_pos + run, rpc)
-            if cut >= 0:
-                run = cut - rep_pos
-        if run <= 1:
-            # No span beyond the current block: the parent's
-            # single-block step is both exact and cheaper than the bulk
-            # machinery for one token.  (No MIN_SPAN floor here: the
-            # preamble and rpc scan are already paid, so consuming even
-            # a short span beats re-paying them per delegated block.)
-            PackedWarpReplayer._step_entry(self, function, e, stack)
-            return
-        # Clamp to the longest prefix every lane shares, block addresses
-        # and record shapes alike.  Stepping that prefix one block at a
-        # time would regroup convergently at every boundary (equal next
-        # addresses) with no event tokens in between (``bext`` runs are
-        # all-``B``), so consuming it whole and regrouping once at the
-        # end is exact; the first disagreeing block is left to the
-        # parent, which applies its alignment rules and error messages.
-        # Lanes checked before a later clamp stay valid: agreement on a
-        # span implies agreement on every prefix of it.  The common
-        # converged case costs two C-speed slice compares per lane;
-        # ``prefix_len`` runs only on an actual mismatch.
-        n_mask = len(mask)
-        rep_lo = rep.moff[rep_pos]
-        # A record-free representative span needs no record-shape
-        # agreement at all: lanes cannot carry *fewer* records than
-        # zero, and the oracle ignores lanes' extra records outright.
-        spanned = rep.moff[rep_pos + run] != rep_lo
-        ref_arg = rep.arg[rep_pos:rep_pos + run]
-        ref_cnt = rep.mcnt[rep_pos:rep_pos + run] if spanned else None
-        for i in range(1, n_mask):
-            cursor = cursors[mask[i]]
-            pos = cursor.pos
-            k = cursor.bext[pos]
-            if k < run:
-                if k <= 1:
-                    PackedWarpReplayer._step_entry(self, function, e,
-                                                   stack)
-                    return
-                run = k
-                ref_arg = ref_arg[:k]
-                if spanned:
-                    ref_cnt = ref_cnt[:k]
-            if cursor.arg[pos:pos + run] == ref_arg and (
-                    not spanned
-                    or cursor.mcnt[pos:pos + run] == ref_cnt):
-                continue
-            if run <= 32:
-                # Short spans (the common intra-run divergence case):
-                # an element-wise scan beats slice bisection.
-                c_arg = cursor.arg
-                c_cnt = cursor.mcnt
-                k = 0
-                while (c_arg[pos + k] == ref_arg[k]
-                       and (not spanned or c_cnt[pos + k] == ref_cnt[k])):
-                    k += 1  # the failed slice compare bounds k < run
-            else:
-                k = vector.prefix_len(rep.arg, rep_pos, cursor.arg,
-                                      pos, run)
-                if k and spanned:
-                    k = vector.prefix_len(rep.mcnt, rep_pos, cursor.mcnt,
-                                          pos, k)
-            if k <= 1:
-                PackedWarpReplayer._step_entry(self, function, e, stack)
-                return
-            run = k
-            ref_arg = ref_arg[:k]
-            if spanned:
-                ref_cnt = ref_cnt[:k]
-        nrec = rep.moff[rep_pos + run] - rep_lo
-        los = [rep_lo]
-        if nrec:
-            ref_slot = rep.mslot[rep_lo:rep_lo + nrec]
-            ref_store = rep.mstore[rep_lo:rep_lo + nrec]
-            for i in range(1, n_mask):
-                cursor = cursors[mask[i]]
-                lo = cursor.moff[cursor.pos]
-                if (cursor.mslot[lo:lo + nrec] != ref_slot
-                        or cursor.mstore[lo:lo + nrec] != ref_store):
-                    # Same addresses and record counts but different
-                    # slot/store shapes -- possible only for pathological
-                    # streams; the parent reproduces the exact outcome.
-                    PackedWarpReplayer._step_entry(self, function, e,
-                                                   stack)
-                    return
-                los.append(lo)
-        self.metrics.account_block(
-            function, rep.cumn[rep_pos + run] - rep.cumn[rep_pos], n_mask)
-        if nrec:
-            self._coalesce_span(mask, los, nrec)
-        for lane in mask:
-            cursors[lane].pos += run
-        self.vector_tokens += run * n_mask
-        self._post_block(function, e, stack, rep.arg[rep_pos + run - 1])
-
-    def _coalesce_span(self, mask: List[int], los: List[int],
-                       nrec: int) -> None:
-        """Bulk-coalesce an aligned span of memory records across lanes.
-
-        Exact parity with per-record coalescing: each record's
-        transaction count is the size of the union of the lanes'
-        32-byte segment ranges, computed by the active backend from
-        whole ``msegf``/``msegl`` slices; the segment class comes from
-        the representative lane's address, as in
-        :meth:`~repro.core.metrics.WarpMetrics.account_memory`.
-        """
-        cursors = self.cursors
-        rep = cursors[mask[0]]
-        fcols = [cursors[lane].msegf for lane in mask]
-        lcols = [cursors[lane].msegl for lane in mask]
-        heap_ins, heap_txn, stack_ins, stack_txn = vector.span_stats(
-            fcols, lcols, los, rep.maddr, nrec, STACK_BASE)
-        n_lanes = len(mask)
-        if heap_ins:
-            seg = self.metrics.memory[SEG_HEAP]
-            seg.instructions += heap_ins
-            seg.accesses += heap_ins * n_lanes
-            seg.transactions += heap_txn
-        if stack_ins:
-            seg = self.metrics.memory[SEG_STACK]
-            seg.instructions += stack_ins
-            seg.accesses += stack_ins * n_lanes
-            seg.transactions += stack_txn
-
-    def _solo_leg(self, function: str, e: _Entry) -> None:
-        """Single-lane leg sweep over ``bext`` spans.
-
-        The parent's solo sweep batches memory-less runs only; this one
-        consumes maximal ``B`` runs with records included, accounting
-        each span's records through the active backend in bulk.  Frame
-        bookkeeping, lock handling, and stop conditions are the
-        parent's, verbatim.
-        """
-        lane = e.mask[0]
-        cursor = self.cursors[lane]
-        kinds = cursor.kinds
-        arg = cursor.arg
-        cumn = cursor.cumn
-        bext = cursor.bext
-        moff = cursor.moff
-        maddr = cursor.maddr
-        msegf = cursor.msegf
-        msegl = cursor.msegl
-        names = cursor.names
-        n = cursor.n
-        pos = cursor.pos
-        rpc = e.rpc
-        metrics = self.metrics
-        heap = metrics.memory[SEG_HEAP]
-        stack_seg = metrics.memory[SEG_STACK]
-        depth = 0            # nested activations entered inside the leg
-        fstack = [function]  # enclosing function names, innermost last
-        pend = 0             # accumulated issues for fstack[-1]
-
-        def flush(amount: int, fname: str) -> None:
-            if amount:
-                metrics.issues += amount
-                metrics.thread_instructions += amount
-                stats = metrics.function_stats(fname)
-                stats.issues += amount
-                stats.thread_instructions += amount
-
-        while True:
-            if pos >= n:
-                self._depth -= depth
-                flush(pend, fstack[-1])
-                cursor.pos = pos
-                e.pc = VEXIT
-                return
-            kind = kinds[pos]
-            if kind == KIND_B:
-                if depth == 0 and arg[pos] == rpc:
-                    flush(pend, fstack[-1])
-                    cursor.pos = pos
-                    e.pc = rpc
-                    return
-                run = bext[pos]
-                if depth == 0 and rpc != VEXIT and run > 1:
-                    # Only the enclosing frame can hit the
-                    # reconvergence PC; nested frames replay to their
-                    # own virtual exit.
-                    cut = vector.first_index(arg, pos + 1, pos + run,
-                                             rpc)
-                    if cut >= 0:
-                        run = cut - pos
-                pend += cumn[pos + run] - cumn[pos]
-                lo = moff[pos]
-                hi = moff[pos + run]
-                if hi != lo:
-                    (heap_ins, heap_txn, stack_ins,
-                     stack_txn) = vector.solo_span_stats(
-                        maddr, msegf, msegl, lo, hi, STACK_BASE)
-                    if heap_ins:
-                        heap.instructions += heap_ins
-                        heap.accesses += heap_ins
-                        heap.transactions += heap_txn
-                    if stack_ins:
-                        stack_seg.instructions += stack_ins
-                        stack_seg.accesses += stack_ins
-                        stack_seg.transactions += stack_txn
-                self.vector_tokens += run
-                pos += run
-                if pos >= n:
-                    continue  # termination handled at the loop top
-                # At most one post-block event token follows a block.
-                follow = kinds[pos]
-                if follow == KIND_CALL:
-                    flush(pend, fstack[-1])
-                    pend = 0
-                    callee = names[arg[pos]]
-                    pos += 1
-                    metrics.account_call(callee)
-                    fstack.append(callee)
-                    depth += 1
-                    self._depth += 1
-                    if self._depth > metrics.stack_depth_hwm:
-                        metrics.stack_depth_hwm = self._depth
-                elif follow == KIND_LOCK:
-                    # One lane, one lock address: an uncontended warp
-                    # lock event under either emulation policy.
-                    metrics.locks.lock_events += 1
-                    pos += 1
-                elif follow == KIND_UNLOCK:
-                    pos += 1
-            elif kind == KIND_RET:
-                if depth == 0:
-                    # The enclosing frame's RET: leave it for the
-                    # _replay_frame drain loop.
-                    flush(pend, fstack[-1])
-                    cursor.pos = pos
-                    e.pc = VEXIT
-                    return
-                flush(pend, fstack[-1])
-                pend = 0
-                fstack.pop()
-                depth -= 1
-                self._depth -= 1
-                pos += 1
-            else:
-                raise ReplayError(
-                    f"lane {lane} has unexpected token "
-                    f"{CODE_KINDS[kind]!r} at a block boundary"
-                )

@@ -1,6 +1,6 @@
 """``repro.faults``: deterministic fault injection for the pipeline.
 
-The robustness story of the session layer (crash-safe fork pools,
+The robustness story of the session layer (crash-safe worker pools,
 checksummed artifacts, typed :mod:`repro.errors`) is only testable if
 the failures themselves are reproducible.  This module provides a
 seeded :class:`FaultPlan` that fires *planned* faults at named sites
@@ -9,8 +9,9 @@ threaded through the production code:
 ==================  ====================================================
 site                where it fires
 ==================  ====================================================
-``pool.spawn``      before a fork pool is created (transient ``OSError``)
-``pool.worker``     inside a forked worker, once per work item
+``pool.spawn``      before a persistent pool worker is started or
+                    respawned (transient ``OSError``)
+``pool.worker``     inside a pool worker, once per work item
                     (hard ``os._exit`` kill or transient ``OSError``)
 ``pool.result``     parent-side, before waiting on a worker result
                     (:class:`~repro.errors.StageTimeoutError`)
@@ -54,9 +55,9 @@ site                where it fires
 
 Faults are either *scheduled* (``at``/``count``: fire on the Nth hit of
 a site) or *rate-based* (a seeded hash of ``(seed, site, token, hit)``
-decides, so runs are reproducible regardless of scheduling).  Forked
-workers inherit the active plan (and their private hit counters) from
-the parent, so worker-side faults are deterministic too.
+decides, so runs are reproducible regardless of scheduling).  The
+persistent pool re-broadcasts the active plan to its workers at the
+start of every batch, so worker-side faults are deterministic too.
 
 Activate a plan explicitly::
 

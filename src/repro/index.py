@@ -4,7 +4,7 @@ The artifact store is a *memoizer*: reports, DCFGs, and telemetry are
 opaque pickles/JSON addressed by fingerprint, perfect for skipping work
 but useless for answering questions.  "Which workloads dropped below
 0.8 SIMT efficiency?", "did the last PR regress pigz?", "how has the
-geomean vector speedup moved across the BENCH snapshots?" all required
+geomean replay speedup moved across the BENCH snapshots?" all required
 unpickling everything by hand.  This module turns the cache into a
 **results database**: every write to the store upserts denormalized
 rows into ``<store_root>/index.db`` (stdlib :mod:`sqlite3`), and

@@ -1,6 +1,7 @@
 """``repro.pool``: the parallel-execution substrate.
 
-Every way the pipeline runs work on other processes lives here:
+Every way the pipeline runs work on other processes lives here, on one
+substrate:
 
 * the **persistent worker pool** (:class:`WorkerPool`): workers are
   spawned once and reused across ``trace_many`` / replay / sweep calls,
@@ -22,34 +23,26 @@ Every way the pipeline runs work on other processes lives here:
   ``weakref.finalize`` when the traces are collected, or explicitly by
   ``AnalysisSession.close``), unlinks segments eagerly, retries
   transient unlink failures, and re-reaps anything left at exit so no
-  ``/dev/shm`` segment outlives the process;
+  ``/dev/shm`` segment outlives the process.
 
-* the **per-call fork pool** (:func:`fork_map`): the pre-existing
-  substrate, kept as the ``pool="fork"`` fallback for platforms
-  without usable shared memory.  The spawn / retry-classification /
-  ``stage_timeout`` boilerplate previously duplicated between
-  :mod:`repro.core.analyzer` and :mod:`repro.session` now lives only
-  here.
-
-Failure policy (same contract as the fork pool): infrastructure
-failures -- a killed or hung worker, a failed arena attach, a broken
-pipe -- are *retryable* (:func:`repro.faults.is_retryable`) and
-surface as ``None`` results so callers fall back to the bit-identical
-serial path.  A worker exception that is a bug re-raises immediately
-in the parent with the worker's traceback chained as ``__cause__``.
-The fault sites ``pool.spawn`` / ``pool.worker`` / ``pool.result``
-fire on this substrate exactly as on the fork pool, plus the two
-substrate-specific sites ``pool.attach`` (worker-side, before mapping
-an arena) and ``shm.unlink`` (parent-side, before releasing a
-segment); see :mod:`repro.faults`.
+Failure policy: infrastructure failures -- a killed or hung worker, a
+failed arena attach, a broken pipe -- are *retryable*
+(:func:`repro.faults.is_retryable`) and surface as ``None`` results so
+callers fall back to the bit-identical serial path.  A worker exception
+that is a bug re-raises immediately in the parent with the worker's
+traceback chained as ``__cause__``.  The fault sites ``pool.spawn`` /
+``pool.worker`` / ``pool.result`` fire on this substrate, plus the two
+shared-memory sites ``pool.attach`` (worker-side, before mapping an
+arena) and ``shm.unlink`` (parent-side, before releasing a segment);
+see :mod:`repro.faults`.
 
 Because workers are reused, per-worker state is explicit: the active
 fault plan is re-broadcast at the start of every batch (the moral
 equivalent of fork inheriting it), arenas and large objects (DCFG
 tables) are pushed once and cached per worker, and each worker keeps a
-signature-keyed warp-metrics memo that survives across calls -- the
-source of the warm-call speedup measured by
-``benchmarks/test_perf_scale.py``.
+signature-keyed warp-metrics memo that survives across calls
+(``benchmarks/test_perf_scale.py`` reports memo-hit repeats separately
+from arena-warm, memo-cold ones).
 """
 
 from __future__ import annotations
@@ -65,8 +58,6 @@ import traceback
 import warnings
 import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -79,8 +70,9 @@ from .tracer.packed import PackedTrace
 #: Max objects cached per worker via ``put`` (oldest evicted first).
 STATE_CAP = 8
 
-#: Max entries in a worker's cross-call warp-metrics memo (cleared
-#: wholesale when exceeded; correctness never depends on retention).
+#: Entries at which a worker's cross-call warp-metrics memo is cleared
+#: wholesale before the next shard (correctness never depends on
+#: retention).
 MEMO_CAP = 4096
 
 #: The pid that imported this module -- arena/pool teardown is a no-op
@@ -449,20 +441,19 @@ def _worker_main(conn) -> None:
             break
 
 
-def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
+def _shm_replay_shard(payload: tuple) -> tuple:
     """Pool-resident task: replay one shard of warps from an arena.
 
-    ``payload``: ``(arena_name, state_key, cfg, entries, memo,
-    vector)`` where ``entries`` is ``[(warp_index,
-    [thread_index, ...]), ...]``.  Returns ``(results, memo_lookups,
-    memo_hits, vector_tokens, total_tokens)`` with results as
-    ``(warp_index, WarpMetrics, n_threads)``; the trailing token pair
-    feeds the parent's ``replay.vector_*`` gauges.
+    ``payload``: ``(arena_name, state_key, cfg, entries)`` where
+    ``entries`` is ``[(warp_index, [thread_index, ...]), ...]``.
+    Returns :func:`repro.core.analyzer.replay_warps`'s ``(results,
+    memo_lookups, memo_hits, vector_tokens, total_tokens)``.
 
     The memo is worker-resident and keyed on ``(dcfgs token, config
     items, warp root, ordered lane signatures)``, so it survives across
     calls (the warm-call fast path) without ever returning metrics for
-    different inputs.  Lane signatures come from
+    different inputs; a shard that finds it holding :data:`MEMO_CAP`
+    entries clears it wholesale first.  Lane signatures come from
     ``ThreadTrace.signature``, which verifies the shared columns
     against their content hash on first use -- attach corruption
     surfaces as :class:`~repro.errors.TraceCorruptError`, a retryable
@@ -471,7 +462,7 @@ def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
     ctx = _WORKER_CTX
     if ctx is None:
         raise RuntimeError("replay shard dispatched outside a pool worker")
-    arena_name, state_key, cfg, entries, memo, vector = payload
+    arena_name, state_key, cfg, entries = payload
     faults.check("pool.worker",
                  f"replay:{entries[0][0] if entries else '-'}")
     entry = ctx.arenas.get(arena_name)
@@ -489,36 +480,16 @@ def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
             hint="the state push failed or was evicted; the batch falls "
                  "back",
         )
-    from .core.analyzer import _replay_warp
+    from .core.analyzer import replay_warps
 
     traces = entry[1]
+    if len(ctx.memo) >= MEMO_CAP:
+        ctx.memo.clear()
     cfg_token = tuple(sorted(dataclasses.asdict(cfg).items()))
-    out = []
-    lookups = hits = 0
-    vstats = [0, 0]
-    for warp_index, lanes in entries:
-        warp = [traces[i] for i in lanes]
-        if memo:
-            lookups += 1
-            key = (state_key, cfg_token, warp[0].root,
-                   tuple(trace.signature for trace in warp))
-            cached = ctx.memo.get(key)
-            if cached is not None:
-                hits += 1
-                out.append((warp_index, cached.clone(), len(warp)))
-                continue
-            metrics = _replay_warp(warp, dcfgs, cfg, packed=True,
-                                   vector=vector, stats=vstats)
-            if len(ctx.memo) >= MEMO_CAP:
-                ctx.memo.clear()
-            ctx.memo[key] = metrics
-            out.append((warp_index, metrics, len(warp)))
-        else:
-            out.append((warp_index,
-                        _replay_warp(warp, dcfgs, cfg, packed=True,
-                                     vector=vector, stats=vstats),
-                        len(warp)))
-    return out, lookups, hits, vstats[0], vstats[1]
+    warps = ((warp_index, [traces[i] for i in lanes])
+             for warp_index, lanes in entries)
+    return replay_warps(warps, dcfgs, cfg, ctx.memo,
+                        key_prefix=(state_key, cfg_token))
 
 
 def _probe_task(payload):
@@ -758,9 +729,9 @@ class WorkerPool:
         prepared: set = set()
         #: Task indices whose parent-side ``pool.result`` check already
         #: fired.  Every task gets exactly one such check -- at reply
-        #: consumption normally, at abandonment otherwise -- matching
-        #: the per-item check of the fork path, so injected-fault hit
-        #: counts stay identical across substrates.
+        #: consumption normally, at abandonment otherwise -- so
+        #: injected-fault hit counts are a deterministic function of
+        #: the plan and the task list.
         checked: set = set()
 
         def consume_check(index: int) -> bool:
@@ -1045,18 +1016,19 @@ if hasattr(os, "register_at_fork"):
 
 
 def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
-                        memo: bool = True, vector: bool = True,
                         stage_timeout: Optional[float] = None,
                         obs=None) -> Optional[tuple]:
     """Replay ``warps`` on the persistent pool via a shared-memory arena.
 
-    Returns ``(per_warp, memo_lookups, memo_hits, (vector_tokens,
-    total_tokens))`` exactly like the
-    fork path, or ``None`` when the substrate is unavailable or failed
-    retryably (callers cascade to the fork pool, then serial).  Warps
-    are striped across workers with stable affinity (shard ``j`` ->
-    worker ``j``), so repeated calls over the same traces hit the same
-    worker's resident memo.
+    Returns ``(results, memo_lookups, memo_hits, vector_tokens,
+    total_tokens)`` exactly like the serial
+    :func:`repro.core.analyzer.replay_warps`, with results re-sorted by
+    warp index so aggregation order (and therefore every dict insertion
+    order in the report) matches the serial path.  Returns ``None``
+    when the substrate is unavailable or failed retryably (callers fall
+    back to serial).  Warps are striped across workers with stable
+    affinity (shard ``j`` -> worker ``j``), so repeated calls over the
+    same traces hit the same worker's resident memo.
     """
     if len(warps) < 2 or not shm_supported():
         return None
@@ -1068,8 +1040,7 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
         shards = [[(index, [trace.index for trace in warps[index]])
                    for index in range(j, len(warps), jobs)]
                   for j in range(jobs)]
-        tasks = [(_shm_replay_shard,
-                  (arena.name, token, cfg, shard, memo, vector),
+        tasks = [(_shm_replay_shard, (arena.name, token, cfg, shard),
                   f"replay:{shard[0][0]}")
                  for shard in shards]
         outcomes = pool.run_tasks(tasks, jobs=jobs,
@@ -1080,113 +1051,16 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
             return None
         raise
     if any(outcome is None for outcome in outcomes):
-        # Partial results are discarded wholesale (same policy as the
-        # fork path): the serial fallback is bit-identical anyway.
+        # Partial results are discarded wholesale: the serial fallback
+        # is bit-identical anyway.
         return None
-    flat = sorted(
-        (item for outcome in outcomes for item in outcome[0]),
-        key=lambda entry: entry[0],
-    )
-    per_warp = [(metrics, n_threads) for _index, metrics, n_threads in flat]
-    lookups = sum(outcome[1] for outcome in outcomes)
-    hits = sum(outcome[2] for outcome in outcomes)
-    vector_tokens = sum(outcome[3] for outcome in outcomes)
-    total_tokens = sum(outcome[4] for outcome in outcomes)
+    results = sorted((item for outcome in outcomes for item in outcome[0]),
+                     key=lambda item: item[0])
+    lookups, hits, vector_tokens, total_tokens = (
+        sum(outcome[k] for outcome in outcomes) for k in range(1, 5))
     if obs is not None and obs.enabled:
         export_gauges(obs)
-    return per_warp, lookups, hits, (vector_tokens, total_tokens)
-
-
-# -- the per-call fork pool (the ``pool="fork"`` fallback) ---------------
-
-#: Shared state inherited by forked workers (set around the pool).
-_FORK_STATE: Optional[tuple] = None
-
-
-def fork_state() -> Optional[tuple]:
-    """The state tuple :func:`fork_map` exposed to forked workers."""
-    return _FORK_STATE
-
-
-@dataclass
-class ForkOutcome:
-    """What one :func:`fork_map` call produced.
-
-    ``results`` maps item index to the worker's return value; items
-    whose workers failed retryably are simply absent.  ``broken`` is
-    set when the pool itself died mid-batch (whatever completed is
-    kept).
-    """
-
-    results: Dict[int, Any] = field(default_factory=dict)
-    worker_failures: int = 0
-    broken: bool = False
-
-    def complete(self, n_items: int) -> bool:
-        """True when all ``n_items`` succeeded with no failures.
-
-        A ``False`` return means the caller must regenerate the
-        missing items on the serial fallback path.
-        """
-        return (not self.broken and not self.worker_failures
-                and len(self.results) == n_items)
-
-
-def fork_map(fn, items: Sequence, jobs: int, *,
-             tokens: Optional[Sequence[str]] = None,
-             stage_timeout: Optional[float] = None,
-             state: Optional[tuple] = None) -> Optional[ForkOutcome]:
-    """Map ``fn`` over ``items`` on a per-call fork pool.
-
-    The single home of the spawn / retry-classification /
-    ``stage_timeout`` boilerplate formerly duplicated between
-    ``session.py`` and ``core/analyzer.py``:
-
-    * ``None`` return: the pool could not start at all (no ``fork``
-      start method, or an injected/real spawn failure) -- callers fall
-      back serially;
-    * per-item retryable failures (killed worker, timeout, transient
-      ``OSError``, corrupt transport) leave that item out of
-      ``results`` and bump ``worker_failures``;
-    * a non-retryable worker exception -- a bug -- propagates
-      immediately with the worker's traceback as ``__cause__``;
-    * ``state`` is exposed to the forked workers via
-      :func:`fork_state` (inherited copy-on-write at fork time).
-
-    ``stage_timeout`` is the per-item result deadline in **seconds**
-    (``None``: wait forever).  ``tokens`` (parallel to ``items``) are
-    the ``pool.result`` fault tokens; they default to the empty token.
-    """
-    global _FORK_STATE
-    try:
-        faults.check("pool.spawn")
-        context = multiprocessing.get_context("fork")
-    except (ValueError, OSError):
-        return None
-    jobs = min(max(1, jobs), len(items))
-    outcome = ForkOutcome()
-    _FORK_STATE = state
-    try:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=context) as executor:
-            futures = [executor.submit(fn, item) for item in items]
-            for index, future in enumerate(futures):
-                token = tokens[index] if tokens is not None else ""
-                try:
-                    faults.check("pool.result", token)
-                    outcome.results[index] = future.result(
-                        timeout=stage_timeout)
-                except Exception as exc:
-                    if not faults.is_retryable(exc):
-                        raise
-                    outcome.worker_failures += 1
-    except BrokenExecutor:
-        outcome.broken = True
-    except OSError:
-        outcome.broken = True
-    finally:
-        _FORK_STATE = None
-    return outcome
+    return results, lookups, hits, vector_tokens, total_tokens
 
 
 # -- observability --------------------------------------------------------
@@ -1222,13 +1096,9 @@ def probe_info(jobs: int = 2, probe: bool = True) -> Dict[str, Any]:
     synthetic arena to measure attach latency; without it, only the
     static capabilities and current stats are reported.
     """
-    from .core import vector
-
     info: Dict[str, Any] = {
         "start_method": start_method(),
         "shm_supported": shm_supported(),
-        "vector_backend": vector.BACKEND,
-        "numpy_accel": vector.numpy_active(),
     }
     if probe:
         traces = TraceSet(workload="pool-probe")
@@ -1252,13 +1122,10 @@ __all__ = [
     "MEMO_CAP",
     "STATE_CAP",
     "ColumnArena",
-    "ForkOutcome",
     "RemoteTraceback",
     "WorkerPool",
     "arena_for",
     "export_gauges",
-    "fork_map",
-    "fork_state",
     "leaked_segments",
     "live_arenas",
     "probe_info",

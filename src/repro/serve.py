@@ -45,8 +45,8 @@ The execution substrate has two modes:
   boundaries, and each completed sweep cell is streamed as a
   ``partial`` event on ``/v1/jobs/<id>/events`` the moment it
   finishes instead of one blob at job end.  Per-shard health (queue
-  depth, in-flight fingerprints, coalesce hits, vector backend) is
-  reported under ``shards`` in ``/v1/health``.
+  depth, in-flight fingerprints, coalesce hits) is reported under
+  ``shards`` in ``/v1/health``.
 
 Failures reuse the :class:`~repro.errors.ReproError` taxonomy: a typed
 pipeline error maps to a 5xx JSON document carrying the error ``type``,
@@ -110,7 +110,6 @@ from . import pool as pool_mod
 from . import shards as shards_mod
 from .artifacts import KIND_REPORT, fingerprint_key
 from .index import history_regression, metric_direction, parse_counter_expr
-from .core import vector
 from .core.analyzer import AnalyzerConfig
 from .core.report import AnalysisReport
 from .errors import ReproError, StageTimeoutError
@@ -584,8 +583,8 @@ class AnalysisServer:
         a cell past it counts as a shard crash and is re-run.
     session_kwargs:
         Forwarded to :class:`~repro.session.AnalysisSession` when no
-        session is passed (``cache_dir``, ``jobs``, ``engine``,
-        ``pool``, ``memo``, ...).
+        session is passed (``cache_dir``, ``jobs``, ``recorder``,
+        ...).
 
     Inline, jobs run one at a time on a dedicated runner thread;
     parallelism lives inside a job (the session's ``jobs`` knob fans
@@ -676,10 +675,6 @@ class AnalysisServer:
         return {
             "cache_dir": store.root if store is not None else None,
             "jobs": session.jobs,
-            "engine": session.engine,
-            "memo": session.memo,
-            "vector": session.vector,
-            "pool": session.pool,
             "stage_timeout": session.stage_timeout,
         }
 
@@ -1035,15 +1030,10 @@ class AnalysisServer:
             "shards": self._shards_doc(),
             "session": {
                 "jobs": self._session.jobs,
-                "pool": self._session.pool,
-                "memo": self._session.memo,
-                "vector": self._session.vector,
                 "executions": self._session.executions,
                 "cached": self._session.store is not None,
                 "indexed": self._session.store is not None,
             },
-            "vector_backend": vector.BACKEND,
-            "numpy_accel": vector.numpy_active(),
             "cache": {
                 "hits": stats.hits, "misses": stats.misses,
                 "puts": stats.puts, "corrupt": stats.corrupt,
@@ -1065,8 +1055,8 @@ class AnalysisServer:
 
         Each detail row carries the shard's process (pid/liveness),
         its load (queue depth, busy flag), its lifetime counters
-        (cells done/failed/skipped, respawns, machine executions), the
-        worker's vector backend, and the two registry-derived numbers
+        (cells done/failed/skipped, respawns, machine executions), and
+        the two registry-derived numbers
         the satellite contract names: ``in_flight_fingerprints``
         (non-terminal jobs with cells routed to the shard) and
         ``coalesce_hits`` (duplicate submits absorbed on behalf of a
@@ -1362,7 +1352,7 @@ class AnalysisServer:
                                   "'workload'",
                              kind="BadRequest",
                              hint="e.g. /v1/index/history?metric="
-                                  "geomean_vector_speedup or "
+                                  "geomean_speedup or "
                                   "/v1/index/history?workload=pigz")
         label = params.get("label")
         max_regression: Optional[float] = None
@@ -1591,7 +1581,7 @@ async def _serve_forever(server: AnalysisServer) -> None:
     await server.start()
     print(f"threadfuser-serve listening on {server.url} "
           f"(queue depth {server.queue_depth}, "
-          f"jobs {server.session.jobs}, pool {server.session.pool!r}, "
+          f"jobs {server.session.jobs}, "
           f"shards {server.shards})")
     print(f"SERVE_URL={server.url}", flush=True)
     try:

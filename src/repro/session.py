@@ -84,13 +84,6 @@ class AnalysisSession:
     recorder:
         An optional :class:`repro.obs.Recorder`.  Defaults to the shared
         no-op recorder, which keeps instrumentation overhead negligible.
-    engine:
-        Execution engine for the trace stage: ``"compiled"`` (link-time
-        specialized handlers, the default) or ``"interp"`` (the seed
-        instruction-at-a-time interpreter).  The engines are
-        bit-identical, so the choice is *excluded* from artifact
-        fingerprints -- traces cached under one engine are valid under
-        the other.  ``None`` uses the machine's default.
     retry:
         A :class:`repro.faults.RetryPolicy` governing how transient
         failures (dead pool workers, injected/real ``OSError``,
@@ -101,17 +94,12 @@ class AnalysisSession:
     stage_timeout:
         Optional per-item deadline (seconds) for pool results; a worker
         that exceeds it is treated as a retryable failure and its item
-        falls back to the bit-identical serial path.  One knob governs
-        both substrates (see ``pool``).
-    pool:
-        Parallel substrate for ``jobs>1``: ``"shared"`` (the default)
-        runs on the persistent :mod:`repro.pool` workers -- spawned
-        once, reused across ``trace_many``/replay/sweep calls, traces
-        shared zero-copy through shared-memory column arenas -- while
-        ``"fork"`` keeps the per-call fork pool for platforms without
-        usable shared memory.  Results are bit-identical across
-        substrates (and serial); the choice never enters artifact
-        fingerprints.
+        falls back to the bit-identical serial path.
+
+    For ``jobs>1`` the parallel stages run on the persistent
+    :mod:`repro.pool` workers -- spawned once, reused across
+    ``trace_many``/replay/sweep calls, traces shared zero-copy through
+    shared-memory column arenas.  Results are bit-identical to serial.
 
     Sessions are context managers: ``close()`` (or leaving the ``with``
     block) releases every shared-memory arena attached to this
@@ -123,32 +111,16 @@ class AnalysisSession:
 
     def __init__(self, cache_dir: Optional[str] = None, jobs: int = 1,
                  store: Optional[ArtifactStore] = None,
-                 recorder=None, engine: Optional[str] = None,
+                 recorder=None,
                  retry: Optional[faults.RetryPolicy] = None,
-                 stage_timeout: Optional[float] = None,
-                 memo: bool = True, vector: bool = True,
-                 pool: str = "shared") -> None:
-        if pool not in ("shared", "fork"):
-            raise ValueError(
-                f"unknown pool substrate {pool!r} (expected 'shared' or "
-                "'fork')")
+                 stage_timeout: Optional[float] = None) -> None:
         if store is None and cache_dir is not None:
             store = ArtifactStore(cache_dir)
         self.store = store
         self.jobs = max(1, int(jobs))
-        self.engine = engine
-        #: Warp-replay memoization (``--no-memo`` on the CLI).  An
-        #: execution knob like ``jobs``: results are bit-identical either
-        #: way, so it never enters artifact fingerprints.
-        self.memo = bool(memo)
-        #: Vectorized bulk-span replay (``--no-vector`` on the CLI).
-        #: Same contract: an execution knob, bit-identical either way,
-        #: excluded from artifact fingerprints.
-        self.vector = bool(vector)
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.retry = retry or faults.RetryPolicy()
         self.stage_timeout = stage_timeout
-        self.pool = pool
         #: Machine executions performed by this session (test surface:
         #: a warm cache keeps this at zero).
         self.executions = 0
@@ -304,8 +276,9 @@ class AnalysisSession:
         """The artifact fingerprint of one trace-stage output.
 
         The execution engine never enters the fingerprint: the compiled
-        and interpreted engines are bit-identical (enforced by the
-        engine-parity tests), so their traces share one cache entry.
+        engine and the reference interpreter are bit-identical (enforced
+        by the engine-parity tests), so an ``engine`` machine override
+        shares the cache entry of the default engine.
         """
         instance = self.build(workload, n_threads, seed)
         resolved = n_threads or get_workload(workload).default_threads
@@ -371,8 +344,6 @@ class AnalysisSession:
             instance = self.build(workload, n_threads, seed)
             machine_kwargs = dict(instance.machine_kwargs)
             machine_kwargs.update(machine_overrides)
-            if self.engine is not None:
-                machine_kwargs.setdefault("engine", self.engine)
             traces, machine = runner.execute_traced(
                 program,
                 instance.spawns,
@@ -399,7 +370,7 @@ class AnalysisSession:
         machine's full dynamic instruction count including untraced
         code; ``machine.mem_events`` the per-touch load/store events
         (see :class:`repro.machine.machine.Machine`).  When the
-        execution ran in a fork-pool worker the live machine never
+        execution ran in a pool worker the live machine never
         crosses back, so the worker ships its counts as the plain dict
         ``machine_counts`` instead (see :func:`_machine_counts`) --
         the exported counters are identical either way.
@@ -436,12 +407,9 @@ class AnalysisSession:
         so this stage never touches the artifact store.
         """
         with self.obs.span("trace"):
-            kwargs = dict(machine_kwargs)
-            if self.engine is not None:
-                kwargs.setdefault("engine", self.engine)
             traces, machine = runner.execute_traced(
                 program, spawns, roots, setup=setup, exclude=exclude,
-                workload=workload, machine_kwargs=kwargs,
+                workload=workload, machine_kwargs=machine_kwargs,
             )
             self.executions += 1
             self._record_trace_counters(traces, machine)
@@ -454,7 +422,8 @@ class AnalysisSession:
         """Trace several workloads, generating cold traces concurrently.
 
         Cache hits are served as usual; the remaining cold workloads run
-        on a fork pool (``jobs`` defaults to the session's knob).  The
+        on the persistent worker pool (``jobs`` defaults to the
+        session's knob).  The
         result maps workload name to :class:`TraceSet`.
 
         Failure handling: pool failures are *classified* (see
@@ -521,69 +490,29 @@ class AnalysisSession:
     def _pool_trace(self, cold: List[str], n_threads: Optional[int],
                     seed: int, opt_level: str,
                     pool_jobs: int) -> Dict[str, Tuple[bytes, Dict]]:
-        """Run the cold workloads on a crash-safe worker pool.
+        """Run the cold workloads on the persistent shared pool.
 
-        Dispatches to the session's substrate (``pool="shared"``: the
-        persistent :mod:`repro.pool` workers; ``"fork"``: a per-call
-        fork pool), cascading shared -> fork -> serial.  Returns
-        serialized results for the items whose workers succeeded.
-        Items whose workers failed *retryably* (killed, broken pool,
-        timeout, transient ``OSError``) are simply absent -- the caller
-        regenerates them serially.  A non-retryable worker exception
-        re-raises with its remote traceback attached as the
-        ``__cause__``.
+        Returns serialized results for the items whose workers
+        succeeded.  Items whose workers failed *retryably* (killed,
+        timeout, transient ``OSError``) are simply absent, and a pool
+        that is unavailable as a whole counts one pool fallback -- the
+        caller regenerates the missing items serially.  A non-retryable
+        worker exception re-raises with its remote traceback attached
+        as the ``__cause__``.  The task callable is read from this
+        module's ``_trace_worker`` attribute at dispatch time and
+        shipped by reference, so monkeypatched replacements are
+        honored.
         """
-        specs = [(name, n_threads, seed, opt_level, self.engine)
+        tasks = [(_trace_worker, (name, n_threads, seed, opt_level), name)
                  for name in cold]
-        if self.pool == "shared":
-            results = self._shared_trace(cold, specs, pool_jobs)
-            if results is not None:
-                return results
-            self.fault_stats["pool_fallbacks"] += 1
-        results = {}
-        outcome = pool_mod.fork_map(
-            _trace_worker, specs, pool_jobs, tokens=cold,
-            stage_timeout=self.stage_timeout,
-        )
-        if outcome is None:
-            self.fault_stats["pool_fallbacks"] += 1
-            return results
-        self.fault_stats["worker_failures"] += outcome.worker_failures
-        if outcome.broken:
-            # The pool itself died (e.g. while shutting down); whatever
-            # completed is kept, the rest falls back to serial.
-            self.fault_stats["pool_fallbacks"] += 1
-        for value in outcome.results.values():
-            rname, data, counts = value
-            results[rname] = (data, counts)
-        return results
-
-    def _shared_trace(
-            self, cold: List[str], specs: List[tuple],
-            pool_jobs: int) -> Optional[Dict[str, Tuple[bytes, Dict]]]:
-        """Trace the cold workloads on the persistent shared pool.
-
-        ``None`` means the substrate was unavailable or failed
-        retryably as a whole (cascade to the fork pool); otherwise the
-        per-item contract matches :meth:`_pool_trace`.  The task
-        callable is read from this module's ``_trace_worker`` attribute
-        at dispatch time and shipped by reference, preserving both
-        monkeypatchability and the bug-propagation contract of the fork
-        path.
-        """
-        # Late global lookup (not an early binding): monkeypatched
-        # replacements of ``_trace_worker`` are honored, like
-        # ``executor.submit(_trace_worker, ...)`` was.
-        tasks = [(_trace_worker, spec, name)
-                 for name, spec in zip(cold, specs)]
         try:
-            shared = pool_mod.shared_pool()
-            outcomes = shared.run_tasks(tasks, jobs=pool_jobs,
-                                        stage_timeout=self.stage_timeout)
+            outcomes = pool_mod.shared_pool().run_tasks(
+                tasks, jobs=pool_jobs, stage_timeout=self.stage_timeout)
         except Exception as exc:
-            if faults.is_retryable(exc):
-                return None
-            raise
+            if not faults.is_retryable(exc):
+                raise
+            self.fault_stats["pool_fallbacks"] += 1
+            return {}
         results: Dict[str, Tuple[bytes, Dict]] = {}
         for value in outcomes:
             if value is None:
@@ -660,9 +589,7 @@ class AnalysisSession:
         """
         analyzer = ThreadFuserAnalyzer(
             config, jobs=self.jobs if jobs is None else jobs,
-            recorder=self.obs, memo=self.memo, vector=self.vector,
-            pool=self.pool,
-            stage_timeout=self.stage_timeout,
+            recorder=self.obs, stage_timeout=self.stage_timeout,
         )
         with self.obs.span("replay"):
             return analyzer.analyze(
@@ -731,7 +658,7 @@ class AnalysisSession:
 def _machine_counts(machine) -> Dict[str, int]:
     """The machine-level telemetry counts of one finished execution.
 
-    A plain dict so fork-pool workers can ship the counts back without
+    A plain dict so pool workers can ship the counts back without
     pickling the machine itself; the parent records them through
     :meth:`AnalysisSession._record_trace_counters` exactly as if the
     execution had run in-process.
@@ -745,7 +672,7 @@ def _machine_counts(machine) -> Dict[str, int]:
 
 
 def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
-    """Fork-pool worker: trace one workload, return serialized traces.
+    """Pool worker: trace one workload, return serialized traces.
 
     Results cross the process boundary in the trace-file wire format
     (not pickles of live objects), so the bytes the parent stores are
@@ -753,7 +680,7 @@ def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
     telemetry counts ride along so parallel trace generation exports
     the same counters as a serial run.
     """
-    name, n_threads, seed, opt_level, engine = spec
+    name, n_threads, seed, opt_level = spec
     faults.check("pool.worker", name)
     entry = get_workload(name)
     instance = entry.instantiate(n_threads or entry.default_threads,
@@ -761,9 +688,6 @@ def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
     program = instance.program
     if opt_level not in (None, OPT_BASE):
         program = apply_opt_level(program, opt_level)
-    machine_kwargs = dict(instance.machine_kwargs)
-    if engine is not None:
-        machine_kwargs.setdefault("engine", engine)
     traces, machine = runner.execute_traced(
         program,
         instance.spawns,
@@ -771,7 +695,7 @@ def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
         setup=instance.setup,
         exclude=instance.exclude,
         workload=instance.name,
-        machine_kwargs=machine_kwargs,
+        machine_kwargs=dict(instance.machine_kwargs),
     )
     return name, serialize_traces(traces), _machine_counts(machine)
 

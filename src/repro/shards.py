@@ -134,13 +134,7 @@ def _run_cell(session, conn, cell: Dict[str, Any]) -> Dict[str, Any]:
 
 def _shard_info() -> Dict[str, Any]:
     """The worker's self-description (handshake and ping payload)."""
-    from .core import vector
-
-    return {
-        "pid": os.getpid(),
-        "vector_backend": vector.BACKEND,
-        "numpy_accel": vector.numpy_active(),
-    }
+    return {"pid": os.getpid()}
 
 
 def _shard_main(conn, config: Dict[str, Any]) -> None:
@@ -219,8 +213,7 @@ class ShardPool:
     config:
         :class:`~repro.session.AnalysisSession` keyword arguments for
         each shard's private session (``cache_dir`` pointing at the
-        shared store, ``jobs``, ``engine``, ``memo``, ``vector``,
-        ``pool``, ``stage_timeout``).
+        shared store, ``jobs``, ``stage_timeout``).
     cell_timeout:
         Optional per-cell wall-clock bound (seconds).  A cell past it
         has its shard killed and counts as a crash attempt, so a hung
@@ -513,8 +506,6 @@ class ShardPool:
                                   and process.is_alive()),
                     "queue": slot.work.qsize(),
                     "busy": slot.busy,
-                    "vector_backend": slot.info.get("vector_backend"),
-                    "numpy_accel": slot.info.get("numpy_accel"),
                     **slot.stats,
                 })
         return docs

@@ -23,16 +23,12 @@ column                contents
 Callee name strings are interned once into the :attr:`names` tuple so the
 hot columns stay pure int64.  The :attr:`signature` is a sha256 over the
 raw column buffers (plus the interned names) -- a content address for the
-whole stream that warp-replay memoization keys on.  ``runs`` additionally
-caches, for every position starting a memory-less ``B`` token, the length
-of the maximal run of memory-less ``B`` tokens from there; the packed
-replayer uses it to consume whole converged block runs in one batched
-accounting call.  ``mcnt`` (per-token memory-record counts, the forward
-differences of ``moff``) and ``bext`` (maximal ``B``-token run lengths,
-memory records allowed) extend the same idea for the vectorized
-replayer, which compares ``mcnt`` slices across lanes at C speed and
-consumes whole ``bext`` spans -- memory blocks included -- per
-accounting call.
+whole stream that warp-replay memoization keys on.  ``mcnt`` (per-token
+memory-record counts, the forward differences of ``moff``) and ``bext``
+(maximal ``B``-token run lengths, memory records allowed) are derived
+columns for the production replayer, which compares ``mcnt`` slices
+across lanes at C speed and consumes whole ``bext`` spans -- memory
+blocks included -- per accounting call.
 
 Integrity: the signature is computed over the pristine buffers at pack
 time and :meth:`ensure_verified` re-hashes before first use, so any later
@@ -72,8 +68,8 @@ _PACK_HINT = (
 
 #: Column layout of one packed trace inside a shared-memory arena:
 #: ``(attribute, array typecode)`` in serialization order.  Derived
-#: columns (``cumn``, ``runs``, ``msegf``, ``msegl``, ``mcnt``,
-#: ``bext``) are exported too, so attaching workers never recompute
+#: columns (``cumn``, ``msegf``, ``msegl``, ``mcnt``, ``bext``) are
+#: exported too, so attaching workers never recompute
 #: prefix sums -- but only the eight pristine columns participate in
 #: the content signature, exactly as for in-process instances.
 SHM_COLUMNS = (
@@ -86,7 +82,6 @@ SHM_COLUMNS = (
     ("mstore", "b"),
     ("maddr", "q"),
     ("msize", "q"),
-    ("runs", "q"),
     ("msegf", "q"),
     ("msegl", "q"),
     ("mcnt", "q"),
@@ -108,7 +103,7 @@ class PackedTrace:
     __slots__ = (
         "n_tokens", "kinds", "arg", "nins", "cumn", "moff",
         "mslot", "mstore", "maddr", "msize", "names",
-        "signature", "runs", "msegf", "msegl", "mcnt", "bext",
+        "signature", "msegf", "msegl", "mcnt", "bext",
         "_verified",
     )
 
@@ -131,7 +126,6 @@ class PackedTrace:
             total += n
             append(total)
         self.cumn = cumn
-        self.runs = self._block_runs()
         self.mcnt, self.bext = self._block_extents()
         self.signature = self._digest()
         # Verified lazily: the first consumer (replay cursor, memo key)
@@ -140,7 +134,7 @@ class PackedTrace:
         self._maybe_inject()
         # Per memory record: first/last 32-byte transaction segment, so
         # coalescing reads precomputed bounds instead of dividing in the
-        # replay hot loop.  Derived data (like ``runs``): recomputed at
+        # replay hot loop.  Derived data (like ``bext``): recomputed at
         # pack time, not part of the signature.  Computed after fault
         # injection so the bounds always describe the final buffers.
         shift = TRANSACTION_SHIFT
@@ -395,32 +389,13 @@ class PackedTrace:
         """Traced dynamic instruction count, O(1)."""
         return self.cumn[-1] if len(self.cumn) > 1 else 0
 
-    def _block_runs(self) -> array:
-        """``runs[i]``: length of the memory-less ``B`` run starting at i.
-
-        Zero for any position that is not a memory-less block token.  Not
-        part of the signature -- it is derived data, recomputed at pack
-        time.
-        """
-        n = self.n_tokens
-        runs = array("q", bytes(8 * n))
-        kinds, moff = self.kinds, self.moff
-        run = 0
-        for i in range(n - 1, -1, -1):
-            if kinds[i] == KIND_B and moff[i] == moff[i + 1]:
-                run += 1
-            else:
-                run = 0
-            runs[i] = run
-        return runs
-
     def _block_extents(self) -> Tuple[array, array]:
         """``mcnt[i]``: memory records of token ``i``; ``bext[i]``:
         length of the maximal run of ``B`` tokens (memory records
         allowed) starting at ``i``, zero for non-``B`` positions.
 
-        Derived data like ``runs``: recomputed at pack time, outside
-        the signature.  The vectorized replayer compares ``mcnt``
+        Derived data: recomputed at pack time, outside the signature.
+        The production replayer compares ``mcnt``
         slices across lanes at C speed to prove record alignment and
         consumes whole ``bext`` spans with one accounting call.
         """

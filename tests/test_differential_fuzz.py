@@ -7,7 +7,12 @@ For every randomly generated structured program we require:
 2. **Metric equality** -- the trace-driven analyzer's prediction equals
    the oracle's direct measurement exactly (efficiency, issues,
    transactions, divergence events);
-3. **Conservation** -- the replay accounts for every traced instruction.
+3. **Conservation** -- the replay accounts for every traced instruction;
+4. **Oracle parity** -- the production analyzer's pickled report is
+   byte-identical to the reference oracle's (tuple replayer, serial, no
+   memo), so random divergence shapes -- spans on both sides of the
+   span replayer's ``MIN_SPAN`` -- are covered beyond the fixed
+   catalog families.
 
 Programs draw from nested if/else, counted loops with data-dependent trip
 counts, helper calls, and loads/stores over shared input / private output
@@ -15,16 +20,20 @@ arrays -- the full divergence vocabulary, minus locks and I/O (which the
 oracle intentionally rejects).
 """
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import analyze_traces
+from repro.core import AnalyzerConfig, analyze_traces
 from repro.gpuref import LockstepGPU
 from repro.isa import Mem, Op
 from repro.machine import Machine
 from repro.program import ProgramBuilder
 from repro.tracer import TraceRecorder
+
+from util import oracle_analyze
 
 IN_SIZE = 64
 N_THREADS = 8
@@ -174,6 +183,8 @@ def test_three_executors_agree(spec):
     predicted = analyze_traces(traces, warp_size=N_THREADS)
     assert (predicted.metrics.thread_instructions
             == traces.total_instructions)
+    oracle = oracle_analyze(traces, AnalyzerConfig(warp_size=N_THREADS))
+    assert pickle.dumps(predicted) == pickle.dumps(oracle)
 
     # Executor 3: the lock-step oracle (direct SIMT execution).
     gpu = LockstepGPU(program, warp_size=N_THREADS)

@@ -70,9 +70,11 @@ def _metrics_signature(m):
 def _run(workload, engine, jobs):
     """Trace + analyze one workload; return all observables."""
     session = AnalysisSession(cache_dir=None, jobs=jobs,
-                              recorder=Recorder(), engine=engine)
-    traces = session.trace(workload, n_threads=N_THREADS, seed=SEED)
-    report = session.analyze(workload, n_threads=N_THREADS, seed=SEED)
+                              recorder=Recorder())
+    traces = session.trace(workload, n_threads=N_THREADS, seed=SEED,
+                           engine=engine)
+    report = session.analyze(workload, n_threads=N_THREADS, seed=SEED,
+                             engine=engine)
     tokens = [t.tokens for t in traces.threads]
     skipped = [dict(t.skipped) for t in traces.threads]
     counters = dict(session.telemetry().counters)
@@ -104,10 +106,10 @@ def test_compiled_engine_matches_interpreter(workload, jobs):
 
 def test_engine_gauges_reflect_engine():
     """The engine gauges are the only telemetry difference by design."""
-    s_compiled = AnalysisSession(recorder=Recorder(), engine="compiled")
-    s_interp = AnalysisSession(recorder=Recorder(), engine="interp")
-    s_compiled.trace("vectoradd", n_threads=8, seed=SEED)
-    s_interp.trace("vectoradd", n_threads=8, seed=SEED)
+    s_compiled = AnalysisSession(recorder=Recorder())
+    s_interp = AnalysisSession(recorder=Recorder())
+    s_compiled.trace("vectoradd", n_threads=8, seed=SEED, engine="compiled")
+    s_interp.trace("vectoradd", n_threads=8, seed=SEED, engine="interp")
     g_compiled = s_compiled.telemetry().gauges
     g_interp = s_interp.telemetry().gauges
     assert g_compiled["engine.compiled"] == 1

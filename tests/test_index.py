@@ -547,9 +547,9 @@ class TestCommittedBenchFiles:
         bench = os.path.join(self.REPO, "BENCH_replay.json")
         index = store.index
         index.ingest_bench(bench)
-        points = index.history("geomean_vector_speedup")
+        points = index.history("geomean_speedup")
         with open(bench) as fh:
-            expected = json.load(fh)["geomean_vector_speedup"]
+            expected = json.load(fh)["geomean_speedup"]
         assert [p["value"] for p in points] == [expected]
 
     def test_flattening_matches_bench_compare(self):

@@ -8,14 +8,14 @@ Covers the :mod:`repro.pool` substrate end to end:
 * pool lifecycle -- spawn-once reuse across batches, crash respawn,
   per-task timeouts, bug propagation with the remote traceback, clean
   shutdown;
-* the parity matrix -- persistent-pool results equal fork-pool and
-  serial results (pickled reports *and* telemetry counters) across
-  jobs 1/2/4/8, both execution engines, memo on and off;
+* the parity matrix -- persistent-pool results equal the reference
+  oracle's (pickled reports *and* telemetry counters) across jobs
+  1/2/4/8 and both execution engines;
 * the zero-leak guarantee -- after ``AnalysisSession.close()`` no
   arena is live and no ``tfuser-*`` segment remains in ``/dev/shm``;
 * the no-silent-fallback contract -- a run that degrades to serial
   replay despite ``jobs>1`` reports a ``pool.fallback`` gauge and a
-  one-time ``RuntimeWarning``.
+  one-time ``RuntimeWarning``, and stays bit-identical.
 """
 
 import functools
@@ -39,6 +39,8 @@ from repro.artifacts import serialize_traces
 from repro.tracer.events import TraceSet
 from repro.tracer.packed import PackedTrace
 from repro.workloads import get_workload, trace_instance
+
+from util import oracle_analyze
 
 N_THREADS = 48
 WARP_SIZE = 16
@@ -266,34 +268,36 @@ def _config(name):
                           emulate_locks=(name == "memcached"))
 
 
-def _run(name, pool, jobs, memo=True, engine=None):
+def _run(name, jobs, engine=None):
     recorder = Recorder()
     analyzer = ThreadFuserAnalyzer(_config(name), jobs=jobs,
-                                   recorder=recorder, memo=memo,
-                                   pool=pool)
+                                   recorder=recorder)
     report = analyzer.analyze(_traces(name, engine=engine))
     telemetry = recorder.telemetry()
     return pickle.dumps(report), dict(telemetry.counters)
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle(name, engine=None):
+    recorder = Recorder()
+    report = oracle_analyze(_traces(name, engine=engine), _config(name),
+                            recorder)
+    return pickle.dumps(report), dict(recorder.telemetry().counters)
+
+
 class TestSubstrateParityMatrix:
     @pytest.mark.parametrize("jobs", [1, 2, 4, 8])
-    @pytest.mark.parametrize("memo", [True, False],
-                             ids=["memo", "nomemo"])
     @pytest.mark.parametrize("name", ["vectoradd", "memcached"])
-    def test_shared_equals_fork_equals_serial(self, name, memo, jobs):
-        reference, ref_counters = _run(name, "fork", 1, memo=memo)
-        for pool in ("shared", "fork"):
-            report, counters = _run(name, pool, jobs, memo=memo)
-            assert report == reference, (pool, jobs)
-            assert counters == ref_counters, (pool, jobs)
+    def test_shared_pool_equals_the_oracle(self, name, jobs):
+        reference, ref_counters = _oracle(name)
+        report, counters = _run(name, jobs)
+        assert report == reference, jobs
+        assert counters == ref_counters, jobs
 
     @pytest.mark.parametrize("engine", ["compiled", "interp"])
     def test_engines_are_identical_on_the_shared_pool(self, engine):
-        reference, ref_counters = _run("streamcluster", "fork", 1,
-                                       engine=engine)
-        report, counters = _run("streamcluster", "shared", 4,
-                                engine=engine)
+        reference, ref_counters = _oracle("streamcluster", engine=engine)
+        report, counters = _run("streamcluster", 4, engine=engine)
         assert report == reference
         assert counters == ref_counters
 
@@ -330,6 +334,19 @@ class TestSessionIntegration:
             for name in names:
                 assert serialize_traces(traced[name]) == expected[name]
 
+    def test_pool_substrate_is_not_in_fingerprints(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        pooled = AnalysisSession(cache_dir=cache, jobs=2)
+        first = pooled.analyze("vectoradd", n_threads=N_THREADS)
+        serial = AnalysisSession(cache_dir=cache, jobs=1)
+        second = serial.analyze("vectoradd", n_threads=N_THREADS)
+        assert (artifacts._canonical_pickle(first)
+                == artifacts._canonical_pickle(second))
+        # The serial session served everything from the pool run's cache.
+        assert serial.executions == 0
+        pooled.close()
+        serial.close()
+
     def test_session_close_releases_all_arenas(self):
         if faults.active() is not None:
             pytest.skip("injected shm faults defer unlinks by design")
@@ -344,24 +361,6 @@ class TestSessionIntegration:
         assert _shm_segments() == before
         session.close()  # idempotent
 
-    def test_pool_substrate_is_not_in_fingerprints(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        shared = AnalysisSession(cache_dir=cache, jobs=2, pool="shared")
-        first = shared.analyze("vectoradd", n_threads=N_THREADS)
-        fork = AnalysisSession(cache_dir=cache, jobs=2, pool="fork")
-        second = fork.analyze("vectoradd", n_threads=N_THREADS)
-        assert (artifacts._canonical_pickle(first)
-                == artifacts._canonical_pickle(second))
-        # The second session served everything from the first's cache.
-        assert fork.executions == 0
-        shared.close()
-        fork.close()
-
-    def test_unknown_substrate_is_rejected(self):
-        with pytest.raises(ValueError, match="pool substrate"):
-            AnalysisSession(pool="threads")
-        with pytest.raises(ValueError, match="pool substrate"):
-            ThreadFuserAnalyzer(pool="threads")
 
 
 # -- fallback visibility --------------------------------------------------
@@ -386,7 +385,7 @@ class TestFallbackVisibility:
         assert pickle.dumps(report) == pickle.dumps(
             serial.analyze(_traces("vectoradd")))
 
-    def test_attach_fault_cascades_to_fork_bit_identically(self):
+    def test_attach_fault_falls_back_to_serial_bit_identically(self):
         plan = FaultPlan([FaultSpec(site="pool.attach", kind="raise",
                                     count=999)])
         pool_mod.shutdown()
@@ -395,10 +394,10 @@ class TestFallbackVisibility:
                                        recorder=recorder)
         with faults.injected(plan):
             report = analyzer.analyze(_traces("vectoradd"))
-        assert recorder.telemetry().gauges["pool.shared_fallback"] == 1
-        serial = ThreadFuserAnalyzer(_config("vectoradd"), jobs=1)
-        assert pickle.dumps(report) == pickle.dumps(
-            serial.analyze(_traces("vectoradd")))
+        gauges = recorder.telemetry().gauges
+        assert gauges["pool.fallback"] == 1
+        assert gauges["faults.replay_fallbacks"] == 1
+        assert pickle.dumps(report) == _oracle("vectoradd")[0]
 
     @pytest.mark.usefixtures("quiet_faults")
     def test_pool_gauges_ride_in_session_telemetry(self):

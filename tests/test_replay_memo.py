@@ -1,20 +1,19 @@
-"""Replay execution knobs are observationally invisible.
+"""The production replay path is observationally identical to the oracle.
 
-The three replay execution knobs -- ``packed`` (columnar replay),
-``vector`` (bulk converged-span consumption over packed columns), and
-``memo`` (signature-keyed warp-metrics reuse) -- must never change a
-single observable: for one workload per catalog family, every (mode,
-memo, jobs) combination, traced under both execution engines, has to
+For one workload per catalog family, traced under both execution
+engines, the production analyzer (the span replayer over packed
+columns, with warp memoization, serial and on the worker pool) has to
 produce a byte-identical pickled report and identical telemetry
-*counters* (gauges are excluded by design: ``memo.*`` hit rates
-legitimately differ between serial and sharded replay, and the
-``replay.vector_*`` utilization fractions vary with sharding too,
-which is exactly why they are gauges).
+*counters* to the reference oracle (the tuple replayer, serial, no
+memo -- ``util.oracle_analyze``).  Gauges are excluded by design:
+``memo.*`` hit rates legitimately differ between serial and sharded
+replay, and the ``replay.vector_*`` utilization fractions vary with
+sharding too, which is exactly why they are gauges.
 
 The synthetic replicated-lane tests then pin down the memo mechanics
 themselves: identical warps actually hit, hits clone rather than
-alias, and the warp-trace generator's output is byte-identical with
-memoization force-disabled.
+alias, and the warp-trace generator's output matches the oracle
+replayer's callbacks.
 """
 
 import functools
@@ -23,11 +22,15 @@ import pickle
 
 import pytest
 
+from repro.core import analyzer as analyzer_module
 from repro.core.analyzer import AnalyzerConfig, ThreadFuserAnalyzer
+from repro.core.replay import WarpReplayer
 from repro.obs import Recorder
 from repro.tracegen import generate_kernel_trace, save_kernel_trace
 from repro.tracer.events import TraceSet
 from repro.workloads import get_workload, trace_instance
+
+from util import oracle_analyze
 
 #: One representative workload per catalog family (Table 1 suites).
 FAMILY_WORKLOADS = [
@@ -43,21 +46,7 @@ FAMILY_WORKLOADS = [
 N_THREADS = 48
 WARP_SIZE = 16
 
-#: Replay mode -> (packed, vector) analyzer knobs.
-MODES = {
-    "tuple": (False, False),
-    "packed": (True, False),
-    "vector": (True, True),
-}
-
 ENGINES = ("compiled", "interp")
-
-COMBOS = [
-    (mode, memo, jobs)
-    for mode in MODES
-    for memo in (True, False)
-    for jobs in (1, 2)
-]
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,12 +61,10 @@ def _config(name):
                           emulate_locks=(name == "memcached"))
 
 
-def _run(name, mode, memo, jobs, engine="compiled"):
-    packed, vector = MODES[mode]
+def _run(name, jobs, engine="compiled"):
     recorder = Recorder()
     analyzer = ThreadFuserAnalyzer(_config(name), jobs=jobs,
-                                   recorder=recorder, memo=memo,
-                                   packed=packed, vector=vector)
+                                   recorder=recorder)
     report = analyzer.analyze(_traces(name, engine))
     telemetry = recorder.telemetry()
     return pickle.dumps(report), dict(telemetry.counters), telemetry.gauges
@@ -85,34 +72,27 @@ def _run(name, mode, memo, jobs, engine="compiled"):
 
 @functools.lru_cache(maxsize=None)
 def _reference(name, engine):
-    """The seed observables: tuple replay, no memo, serial."""
-    report, counters, _ = _run(name, "tuple", memo=False, jobs=1,
-                               engine=engine)
-    return report, counters
+    """The oracle's observables: tuple replay, no memo, serial."""
+    recorder = Recorder()
+    report = oracle_analyze(_traces(name, engine), _config(name), recorder)
+    return pickle.dumps(report), dict(recorder.telemetry().counters)
 
 
 class TestMemoParityMatrix:
-    @pytest.mark.parametrize("mode,memo,jobs", COMBOS,
-                             ids=[f"{mode}-"
-                                  f"{'memo' if m else 'nomemo'}-jobs{j}"
-                                  for mode, m, j in COMBOS])
+    @pytest.mark.parametrize("jobs", (1, 2), ids=["jobs1", "jobs2"])
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", FAMILY_WORKLOADS)
-    def test_reports_and_counters_identical(self, name, engine, mode,
-                                            memo, jobs):
+    def test_reports_and_counters_identical(self, name, engine, jobs):
         reference, ref_counters = _reference(name, engine)
-        report, counters, gauges = _run(name, mode, memo, jobs,
-                                        engine=engine)
+        report, counters, gauges = _run(name, jobs, engine=engine)
         assert report == reference
         assert counters == ref_counters
-        if memo and jobs == 1:
+        if jobs == 1:
             # Memoization accounts its activity as gauges, never
             # counters; lookups equal the number of replayed warps.
             assert gauges["memo.warp_lookups"] == pickle.loads(
                 report).metrics.n_warps
             assert "memo.warp_hits" in gauges
-        if not memo:
-            assert "memo.warp_lookups" not in gauges
 
 
 def _replicated_traces(n_threads, workload="memo_synth"):
@@ -136,9 +116,8 @@ class TestMemoMechanics:
         gauges = recorder.telemetry().gauges
         assert gauges["memo.warp_lookups"] == 4
         assert gauges["memo.warp_hits"] == 3
-        plain = ThreadFuserAnalyzer(AnalyzerConfig(warp_size=WARP_SIZE),
-                                    memo=False).analyze(traces)
-        assert pickle.dumps(memo_report) == pickle.dumps(plain)
+        oracle = oracle_analyze(traces, AnalyzerConfig(warp_size=WARP_SIZE))
+        assert pickle.dumps(memo_report) == pickle.dumps(oracle)
 
     def test_distinct_streams_do_not_collide(self):
         # Same root, same length, different block addresses: the
@@ -162,28 +141,32 @@ class TestMemoMechanics:
         traces = _replicated_traces(2 * WARP_SIZE)
         analyzer = ThreadFuserAnalyzer(AnalyzerConfig(warp_size=WARP_SIZE))
         dcfgs = analyzer.prepare(traces)
-        from repro.core.analyzer import _memo_key, _replay_warp
+        from repro.core.analyzer import _memo_key, replay_warps
         from repro.core.warp import form_warps
 
         warps = form_warps(traces, WARP_SIZE, "linear")
         assert _memo_key(warps[0]) == _memo_key(warps[1])
-        first = _replay_warp(warps[0], dcfgs, analyzer.config)
-        clone = first.clone()
+        memo = {}
+        results, lookups, hits, _, _ = replay_warps(
+            enumerate(warps), dcfgs, analyzer.config, memo)
+        assert (lookups, hits) == (2, 1)
+        first, clone = results[0][1], results[1][1]
         assert clone is not first
         assert pickle.dumps(clone) == pickle.dumps(first)
         # Mutating the clone (what aggregation-time merging may do)
         # must not leak back into the cached entry.
         clone.issues += 1
         assert clone.issues == first.issues + 1
+        assert memo[_memo_key(warps[0])] is first
 
 
 class TestGeneratorParity:
-    def test_kernel_traces_identical_with_memo_disabled(self, monkeypatch):
-        """The warp-trace generator's output never depends on ``memo``.
+    def test_kernel_traces_match_the_oracle_replayer(self, monkeypatch):
+        """The warp-trace generator's output is the oracle's.
 
-        Visitors force fresh replays internally, so the generated
-        streams must be byte-identical even when the analyzer class is
-        pinned to ``memo=False`` outright.
+        Visitors force fresh per-block replays, so the callbacks the
+        production replayer issues must produce byte-identical warp
+        traces to those of the tuple oracle replaying the same warps.
         """
         traces = _traces("vectoradd")
         program = get_workload("vectoradd").instantiate(N_THREADS).program
@@ -193,13 +176,10 @@ class TestGeneratorParity:
             save_kernel_trace(kernel, out)
             return out.getvalue()
 
-        default = _serialize(
+        production = _serialize(
             generate_kernel_trace(traces, program, warp_size=WARP_SIZE))
-
-        from repro.tracegen import generator as generator_module
-
-        pinned = functools.partial(ThreadFuserAnalyzer, memo=False)
-        monkeypatch.setattr(generator_module, "ThreadFuserAnalyzer", pinned)
-        no_memo = _serialize(
+        monkeypatch.setattr(analyzer_module, "VectorWarpReplayer",
+                            WarpReplayer)
+        oracle = _serialize(
             generate_kernel_trace(traces, program, warp_size=WARP_SIZE))
-        assert default == no_memo
+        assert production == oracle

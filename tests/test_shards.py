@@ -168,8 +168,7 @@ class TestCrossShardCoalescing:
             for row in shards_doc["detail"]:
                 assert row["alive"] is True
                 for key in ("pid", "queue", "in_flight_fingerprints",
-                            "coalesce_hits", "vector_backend",
-                            "cells_done", "respawns"):
+                            "coalesce_hits", "cells_done", "respawns"):
                     assert key in row, row
             assert sum(row["cells_done"]
                        for row in shards_doc["detail"]) == len(WIDTHS)

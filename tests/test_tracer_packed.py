@@ -3,8 +3,8 @@
 :class:`~repro.tracer.packed.PackedTrace` is the analyzer's hot data
 structure: the packed columns must round-trip token streams exactly,
 the content signature must be stable under re-packing and sensitive to
-any content change, the derived columns (``cumn``, ``runs``, ``msegf``/
-``msegl``) must agree with first-principles recomputation, and any
+any content change, the derived columns (``cumn``, ``msegf``/``msegl``,
+``mcnt``, ``bext``) must agree with first-principles recomputation, and any
 post-pack corruption must surface as a typed
 :class:`~repro.errors.TraceCorruptError` -- never as silently wrong
 replay inputs or memo keys.
@@ -92,19 +92,6 @@ class TestDerivedColumns:
                 total += token[2]
         assert packed.cumn[-1] == total
         assert packed.total_instructions == total
-
-    def test_runs_are_maximal_memless_block_runs(self):
-        packed = PackedTrace.from_tokens(SAMPLE_TOKENS)
-        for i, token in enumerate(SAMPLE_TOKENS):
-            expected = 0
-            if token[0] == TOK_BLOCK and not token[3]:
-                j = i
-                while (j < len(SAMPLE_TOKENS)
-                       and SAMPLE_TOKENS[j][0] == TOK_BLOCK
-                       and not SAMPLE_TOKENS[j][3]):
-                    expected += 1
-                    j += 1
-            assert packed.runs[i] == expected, i
 
     def test_mcnt_is_the_per_token_record_count(self):
         packed = PackedTrace.from_tokens(SAMPLE_TOKENS)

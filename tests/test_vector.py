@@ -1,23 +1,18 @@
-"""The vector backend shim: selection, fallback, parity, telemetry.
+"""The bulk column primitives and the production replayer's span paths.
 
-:mod:`repro.core.vector` hosts the bulk column primitives behind
-:class:`~repro.core.replay.VectorWarpReplayer` twice -- a pure
-``array``-slicing reference and an optional numpy accelerator -- and
-promises the choice is observationally invisible.  These tests pin that
-promise down at every layer: the primitives agree element-for-element
-on randomized columns, ``use_backend`` forces and restores the pure
-path, a monkeypatched ``import numpy`` failure degrades to the
-``array`` backend with bit-identical reports (the ``accel`` extra is
-genuinely optional), the ``replay.vector_*`` gauges surface utilization
-without ever touching counters, and the vectorized replayer raises the
-exact same :class:`~repro.core.ReplayError` as the packed oracle on
-corrupt streams.
+:mod:`repro.core.vector` hosts the bulk column primitives behind the
+span steps of :class:`~repro.core.replay.VectorWarpReplayer`.  These
+tests pin them down at every layer: each primitive agrees with its
+plain definition on randomized columns (``array`` and shared-memory
+``memoryview`` alike), a converged synthetic stream is consumed
+entirely through the span path with the oracle's metrics, a corrupt
+stream raises the exact same :class:`~repro.core.ReplayError` as the
+tuple oracle, and the ``replay.vector_*`` gauges surface utilization
+without ever touching counters.
 """
 
 import array
-import builtins
 import functools
-import importlib
 import pickle
 import random
 
@@ -25,10 +20,10 @@ import pytest
 
 from repro.core import (
     AnalyzerConfig,
-    PackedWarpReplayer,
     ReplayError,
     ThreadFuserAnalyzer,
     VectorWarpReplayer,
+    WarpReplayer,
     build_dcfgs,
     compute_all_ipdoms,
 )
@@ -42,10 +37,6 @@ WARP_SIZE = 8
 
 STACK_BASE = 0x7000_0000
 
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in vector._BACKENDS,
-    reason="numpy accelerator not installed")
-
 
 @functools.lru_cache(maxsize=None)
 def _traces():
@@ -54,36 +45,68 @@ def _traces():
     return traces
 
 
-def _analyze(vector_knob=True, recorder=None, jobs=1):
+def _analyze(recorder=None, jobs=1):
     analyzer = ThreadFuserAnalyzer(AnalyzerConfig(warp_size=WARP_SIZE),
-                                   jobs=jobs, recorder=recorder,
-                                   memo=False, packed=True,
-                                   vector=vector_knob)
+                                   jobs=jobs, recorder=recorder)
     return analyzer.analyze(_traces())
 
 
-# -- primitive parity on randomized columns -------------------------------
+# -- each primitive against its definition on randomized columns ----------
 
 
-@needs_numpy
+def _first_index_def(col, lo, hi, value):
+    return next((i for i in range(lo, hi) if col[i] == value), -1)
+
+
+def _prefix_len_def(a, ao, b, bo, k):
+    n = 0
+    while n < k and a[ao + n] == b[bo + n]:
+        n += 1
+    return n
+
+
+def _split(stats):
+    """``{is_stack: [instructions, transactions]}`` as a 4-tuple."""
+    return (stats[False][0], stats[False][1],
+            stats[True][0], stats[True][1])
+
+
+def _span_stats_def(fcols, lcols, los, maddr, nrec, threshold):
+    stats = {False: [0, 0], True: [0, 0]}
+    for i in range(nrec):
+        segments = set()
+        for f, last, lo in zip(fcols, lcols, los):
+            segments.update(range(f[lo + i], last[lo + i] + 1))
+        entry = stats[maddr[los[0] + i] >= threshold]
+        entry[0] += 1
+        entry[1] += len(segments)
+    return _split(stats)
+
+
+def _solo_span_stats_def(maddr, msegf, msegl, lo, hi, threshold):
+    return _span_stats_def([msegf], [msegl], [lo], maddr, hi - lo,
+                           threshold)
+
+
 class TestBackendPrimitiveParity:
     def test_first_index(self):
         rng = random.Random(7)
         col = array.array("q", [rng.randrange(6) for _ in range(300)])
         for lo, hi in ((0, 300), (5, 40), (120, 300), (17, 18), (9, 9)):
             for value in range(-1, 7):
-                assert (vector._first_index_np(col, lo, hi, value)
-                        == vector._first_index_py(col, lo, hi, value))
+                assert (vector.first_index(col, lo, hi, value)
+                        == _first_index_def(col, lo, hi, value))
 
     def test_first_index_on_memoryview_columns(self):
         # Shared-memory arenas hand the primitives memoryview casts,
-        # which lack ``array.index`` -- the pure loop fallback and the
-        # numpy view must still agree.
+        # which lack ``array.index`` -- the loop fallback must agree.
         col = array.array("q", [3, 1, 4, 1, 5, 9, 2, 6] * 20)
         view = memoryview(col)
-        for value in (1, 9, 7):
-            assert (vector._first_index_py(view, 0, len(col), value)
-                    == vector._first_index_np(view, 0, len(col), value))
+        for lo, hi in ((0, len(col)), (2, 50), (30, 31)):
+            for value in (1, 9, 7):
+                assert (vector.first_index(view, lo, hi, value)
+                        == vector.first_index(col, lo, hi, value)
+                        == _first_index_def(col, lo, hi, value))
 
     def test_prefix_len(self):
         rng = random.Random(11)
@@ -92,15 +115,15 @@ class TestBackendPrimitiveParity:
             b = array.array("q", a)
             b[d] ^= 1
             for k in (1, 2, 63, 64, 128, 400):
-                expect = min(d, k)
-                assert vector._prefix_len_py(a, 0, b, 0, k) == expect
-                assert vector._prefix_len_np(a, 0, b, 0, k) == expect
+                assert vector.prefix_len(a, 0, b, 0, k) == min(d, k)
+                assert (vector.prefix_len(a, 0, memoryview(b), 0, k)
+                        == _prefix_len_def(a, 0, b, 0, k))
         b = array.array("q", a)
-        assert vector._prefix_len_py(a, 0, b, 0, 400) == 400
-        assert vector._prefix_len_np(a, 0, b, 0, 400) == 400
+        assert vector.prefix_len(a, 0, b, 0, 400) == 400
         # Offset slices compare windows, not whole columns.
-        assert vector._prefix_len_py(a, 100, a, 100, 200) == 200
-        assert vector._prefix_len_np(a, 100, a, 100, 200) == 200
+        assert vector.prefix_len(a, 100, a, 100, 200) == 200
+        assert (vector.prefix_len(a, 3, a, 5, 100)
+                == _prefix_len_def(a, 3, a, 5, 100))
 
     def test_span_stats(self):
         rng = random.Random(23)
@@ -122,20 +145,16 @@ class TestBackendPrimitiveParity:
         for i in range(nrec):
             maddr[base_lo + i] = rng.choice(
                 (0x2000 + 32 * i, STACK_BASE + 64 * i))
-        assert (vector._span_stats_np(fcols, lcols, los, maddr, nrec,
+        for nrec_k in (nrec, 3):
+            assert (vector.span_stats(fcols, lcols, los, maddr, nrec_k,
                                       STACK_BASE)
-                == vector._span_stats_py(fcols, lcols, los, maddr, nrec,
-                                         STACK_BASE))
-        # All-single-segment accesses take the sorted-column fast path.
-        assert (vector._span_stats_np(fcols, fcols, los, maddr, nrec,
-                                      STACK_BASE)
-                == vector._span_stats_py(fcols, fcols, los, maddr, nrec,
-                                         STACK_BASE))
-        # Short spans delegate to the pure implementation outright.
-        assert (vector._span_stats_np(fcols, lcols, los, maddr, 3,
-                                      STACK_BASE)
-                == vector._span_stats_py(fcols, lcols, los, maddr, 3,
-                                         STACK_BASE))
+                    == _span_stats_def(fcols, lcols, los, maddr, nrec_k,
+                                       STACK_BASE))
+        # All-single-segment accesses take the distinct-segment path.
+        assert (vector.span_stats(fcols, fcols, los, maddr, nrec,
+                                  STACK_BASE)
+                == _span_stats_def(fcols, fcols, los, maddr, nrec,
+                                   STACK_BASE))
 
     def test_solo_span_stats(self):
         rng = random.Random(31)
@@ -147,65 +166,10 @@ class TestBackendPrimitiveParity:
             msegl.append(seg + rng.randrange(3))
             maddr.append(rng.choice((0x1000, STACK_BASE + 0x100)))
         for lo, hi in ((0, n), (3, 9), (50, 180)):
-            assert (vector._solo_span_stats_np(maddr, msegf, msegl, lo, hi,
-                                               STACK_BASE)
-                    == vector._solo_span_stats_py(maddr, msegf, msegl, lo,
-                                                  hi, STACK_BASE))
-
-
-# -- backend selection ----------------------------------------------------
-
-
-class TestBackendSelection:
-    def test_auto_prefers_numpy_when_importable(self):
-        have_numpy = "numpy" in vector._BACKENDS
-        try:
-            picked = vector.use_backend("auto")
-        finally:
-            vector.use_backend()
-        assert picked == ("numpy" if have_numpy else "array")
-        assert vector.numpy_active() == have_numpy
-
-    def test_unknown_backend_is_a_value_error(self):
-        before = vector.BACKEND
-        with pytest.raises(ValueError, match="available"):
-            vector.use_backend("cuda")
-        # A failed selection never clobbers the active backend.
-        assert vector.BACKEND == before
-
-    def test_forced_array_backend_is_bit_identical(self):
-        reference = pickle.dumps(_analyze())
-        try:
-            assert vector.use_backend("array") == "array"
-            assert not vector.numpy_active()
-            forced = pickle.dumps(_analyze())
-        finally:
-            vector.use_backend()
-        assert forced == reference
-
-
-class TestNoNumpyFallback:
-    def test_missing_numpy_degrades_to_array_backend(self):
-        """A failed ``import numpy`` must be invisible in the report."""
-        reference = pickle.dumps(_analyze())
-        real_import = builtins.__import__
-
-        def _no_numpy(name, *args, **kwargs):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError("numpy disabled for test")
-            return real_import(name, *args, **kwargs)
-
-        try:
-            builtins.__import__ = _no_numpy
-            importlib.reload(vector)
-            assert vector.BACKEND == "array"
-            assert not vector.numpy_active()
-            assert "numpy" not in vector._BACKENDS
-            fallback = pickle.dumps(_analyze())
-        finally:
-            builtins.__import__ = real_import
-            importlib.reload(vector)
-        assert fallback == reference
+            assert (vector.solo_span_stats(maddr, msegf, msegl, lo, hi,
+                                           STACK_BASE)
+                    == _solo_span_stats_def(maddr, msegf, msegl, lo, hi,
+                                            STACK_BASE))
 
 
 # -- synthetic warps: bulk-path coverage and error parity -----------------
@@ -238,15 +202,15 @@ class TestVectorReplayer:
         vec.run()
         assert vec.total_tokens > 0
         assert vec.vector_tokens == vec.total_tokens
-        packed = PackedWarpReplayer(traces.threads, dcfgs, 8)
-        packed.run()
-        assert pickle.dumps(vec.metrics) == pickle.dumps(packed.metrics)
+        oracle = WarpReplayer(traces.threads, dcfgs, 8)
+        oracle.run()
+        assert pickle.dumps(vec.metrics) == pickle.dumps(oracle.metrics)
 
     def test_misaligned_records_raise_the_oracle_error(self):
-        # Lanes agree on a long record-free prefix (entering the bulk
-        # path), then lane 1 misses lane 0's memory record: the vector
-        # replayer must shrink to the agreeing prefix and surface the
-        # packed oracle's exact misalignment error.
+        # Lanes agree on a long record-free prefix (entering the span
+        # path), then lane 1 misses lane 0's memory record: the
+        # production replayer must shrink to the agreeing prefix and
+        # surface the tuple oracle's exact misalignment error.
         prefix = [(TOK_BLOCK, 0x100 + 8 * i, 1, ()) for i in range(12)]
         tail = [(TOK_BLOCK, 0x300, 1, ())]
         with_rec = prefix + [(TOK_BLOCK, 0x200, 1,
@@ -256,37 +220,28 @@ class TestVectorReplayer:
         traces.new_thread(0, "worker").tokens = with_rec
         traces.new_thread(1, "worker").tokens = without_rec
         dcfgs = _prepared(traces)
-        with pytest.raises(ReplayError) as packed_err:
-            PackedWarpReplayer(traces.threads, dcfgs, 2).run()
+        with pytest.raises(ReplayError) as oracle_err:
+            WarpReplayer(traces.threads, dcfgs, 2).run()
         with pytest.raises(ReplayError) as vector_err:
             VectorWarpReplayer(traces.threads, dcfgs, 2).run()
-        assert str(vector_err.value) == str(packed_err.value)
-        assert "misaligned" in str(packed_err.value)
+        assert str(vector_err.value) == str(oracle_err.value)
+        assert "misaligned" in str(oracle_err.value)
 
 
-# -- telemetry and CLI surfaces -------------------------------------------
+# -- telemetry ------------------------------------------------------------
 
 
 class TestVectorTelemetry:
     def test_vector_gauges_are_emitted(self):
         recorder = Recorder()
         analyzer = ThreadFuserAnalyzer(AnalyzerConfig(warp_size=WARP_SIZE),
-                                       recorder=recorder, memo=False)
+                                       recorder=recorder)
         analyzer.analyze(_converged_traces(n_threads=16))
         gauges = recorder.telemetry().gauges
         assert gauges["replay.vector_tokens"] > 0
         assert (gauges["replay.vector_total_tokens"]
                 >= gauges["replay.vector_tokens"])
         assert gauges["replay.vector_token_fraction"] == 1.0
-        assert gauges["replay.vector_backend_numpy"] == (
-            1 if vector.numpy_active() else 0)
-
-    def test_no_vector_gauges_when_disabled(self):
-        recorder = Recorder()
-        _analyze(vector_knob=False, recorder=recorder)
-        gauges = recorder.telemetry().gauges
-        assert not any(name.startswith("replay.vector")
-                       for name in gauges)
 
     def test_sharded_replay_aggregates_the_gauges(self):
         recorder = Recorder()
@@ -295,22 +250,3 @@ class TestVectorTelemetry:
         assert 0.0 <= gauges["replay.vector_token_fraction"] <= 1.0
         assert (gauges["replay.vector_total_tokens"]
                 >= gauges["replay.vector_tokens"])
-
-
-class TestCLISurface:
-    def test_analyze_accepts_no_vector(self, capsys):
-        from repro.cli import main
-
-        rc = main(["analyze", "vectoradd", "--threads", "16",
-                   "--warp-size", "8", "--no-vector"])
-        assert rc == 0
-        assert "SIMT efficiency" in capsys.readouterr().out
-
-    def test_pool_info_reports_the_vector_backend(self, capsys):
-        from repro.cli import main
-
-        rc = main(["pool", "info", "--no-probe"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "vector backend:" in out
-        assert vector.BACKEND in out

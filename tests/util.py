@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+from repro.core.analyzer import AnalyzerConfig, ThreadFuserAnalyzer
+from repro.core.dcfg import build_dcfgs
+from repro.core.ipdom import compute_all_ipdoms
+from repro.core.metrics import AggregateMetrics
+from repro.core.replay import WarpReplayer
+from repro.core.report import AnalysisReport
+from repro.core.warp import form_warps
 from repro.isa import Mem, Op
 from repro.machine import Machine
+from repro.obs import NULL_RECORDER
 from repro.program import ProgramBuilder
 from repro.tracer import TraceRecorder
 
@@ -19,6 +27,39 @@ def run_traced(program, spawns, roots, setup=None, exclude=(), **mkw):
         machine.spawn(name, args, io_in=io_in)
     machine.run()
     return recorder.traces, machine
+
+
+def oracle_analyze(traces, config=None, recorder=None) -> AnalysisReport:
+    """The reference analysis the production path must match byte for byte.
+
+    Builds the DCFGs with the reference tuple scan (no dedupe), forms
+    warps, and replays each one serially with the tuple
+    :class:`~repro.core.replay.WarpReplayer` -- no packed columns, no
+    memo, no pool.  The per-warp metrics merge in warp order, and the
+    counters the analyzer exports (``prepare.functions`` plus the
+    ``replay.*`` set) are recorded on ``recorder``.
+    """
+    config = config or AnalyzerConfig()
+    obs = recorder if recorder is not None else NULL_RECORDER
+    dcfgs = build_dcfgs(traces)
+    compute_all_ipdoms(dcfgs)
+    obs.count("prepare.functions", len(dcfgs.functions))
+    aggregate = AggregateMetrics(config.warp_size)
+    for warp in form_warps(traces, config.warp_size, config.batching):
+        metrics = WarpReplayer(
+            warp, dcfgs, config.warp_size,
+            emulate_locks=config.emulate_locks,
+            lock_reconvergence=config.lock_reconvergence,
+        ).run()
+        aggregate.merge(metrics, n_threads=len(warp))
+    ThreadFuserAnalyzer(config, recorder=obs)._record_replay_counters(
+        aggregate)
+    return AnalysisReport(
+        workload=traces.workload,
+        metrics=aggregate,
+        traced_fraction=traces.traced_fraction(),
+        skipped_by_reason=traces.skipped_by_reason(),
+    )
 
 
 def build_diamond_program():
