@@ -8,9 +8,10 @@ Covers the :mod:`repro.pool` substrate end to end:
 * pool lifecycle -- spawn-once reuse across batches, crash respawn,
   per-task timeouts, bug propagation with the remote traceback, clean
   shutdown;
-* the parity matrix -- persistent-pool results equal the reference
-  oracle's (pickled reports *and* telemetry counters) across jobs
-  1/2/4/8 and both execution engines;
+* the parity matrix -- persistent-pool results, memo-served or fresh,
+  and the serial fallback's equal the reference oracle's (pickled
+  reports *and* telemetry counters) across jobs 1/2/4/8 and both
+  execution engines;
 * the zero-leak guarantee -- after ``AnalysisSession.close()`` no
   arena is live and no ``tfuser-*`` segment remains in ``/dev/shm``;
 * the no-silent-fallback contract -- a run that degrades to serial
@@ -268,13 +269,20 @@ def _config(name):
                           emulate_locks=(name == "memcached"))
 
 
-def _run(name, jobs, engine=None):
+def _run(name, jobs, engine=None, warm=False):
     recorder = Recorder()
     analyzer = ThreadFuserAnalyzer(_config(name), jobs=jobs,
                                    recorder=recorder)
-    report = analyzer.analyze(_traces(name, engine=engine))
+    traces = _traces(name, engine=engine)
+    dcfgs = analyzer.prepare(traces)
+    if warm:
+        # A first replay over the same DCFGs leaves every warp in the
+        # workers' resident memo for the measured call.
+        ThreadFuserAnalyzer(_config(name), jobs=jobs).analyze(
+            traces, dcfgs=dcfgs)
+    report = analyzer.analyze(traces, dcfgs=dcfgs)
     telemetry = recorder.telemetry()
-    return pickle.dumps(report), dict(telemetry.counters)
+    return pickle.dumps(report), dict(telemetry.counters), telemetry.gauges
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,17 +295,40 @@ def _oracle(name, engine=None):
 
 class TestSubstrateParityMatrix:
     @pytest.mark.parametrize("jobs", [1, 2, 4, 8])
+    @pytest.mark.parametrize("memo", [True, False],
+                             ids=["memo", "nomemo"])
     @pytest.mark.parametrize("name", ["vectoradd", "memcached"])
-    def test_shared_pool_equals_the_oracle(self, name, jobs):
+    def test_shared_equals_fork_equals_serial(self, name, memo, jobs):
+        """The shared pool and its serial fallback both equal the oracle.
+
+        The per-call fork pool that once sat between the shared pool
+        and serial replay is gone: a pool whose workers cannot attach
+        the arena now falls back to serial replay, so that fallback is
+        the middle leg.  With ``memo`` the shared leg replays over
+        DCFGs it has already replayed, so the workers' resident memo
+        serves every warp; with ``nomemo`` every warp is replayed fresh.
+        """
         reference, ref_counters = _oracle(name)
-        report, counters = _run(name, jobs)
+        report, counters, gauges = _run(name, jobs, warm=memo)
         assert report == reference, jobs
         assert counters == ref_counters, jobs
+        if jobs > 1 and faults.active() is None:
+            expected_hits = gauges["memo.warp_lookups"] if memo else 0
+            assert gauges["memo.warp_hits"] == expected_hits
+
+        plan = FaultPlan([FaultSpec(site="pool.attach", kind="raise",
+                                    count=999)])
+        pool_mod.shutdown()
+        with faults.injected(plan):
+            report, counters, gauges = _run(name, jobs)
+        assert report == reference, jobs
+        assert counters == ref_counters, jobs
+        assert gauges.get("pool.fallback") == (1 if jobs > 1 else None)
 
     @pytest.mark.parametrize("engine", ["compiled", "interp"])
     def test_engines_are_identical_on_the_shared_pool(self, engine):
         reference, ref_counters = _oracle("streamcluster", engine=engine)
-        report, counters = _run("streamcluster", 4, engine=engine)
+        report, counters, _ = _run("streamcluster", 4, engine=engine)
         assert report == reference
         assert counters == ref_counters
 
@@ -385,7 +416,13 @@ class TestFallbackVisibility:
         assert pickle.dumps(report) == pickle.dumps(
             serial.analyze(_traces("vectoradd")))
 
-    def test_attach_fault_falls_back_to_serial_bit_identically(self):
+    def test_attach_fault_cascades_to_fork_bit_identically(self):
+        """An attach fault cascades to the next substrate bit-identically.
+
+        The per-call fork pool this cascade used to reach is gone: a
+        pool whose workers cannot attach the arena now falls back to
+        serial replay, gauged and byte-identical to the oracle.
+        """
         plan = FaultPlan([FaultSpec(site="pool.attach", kind="raise",
                                     count=999)])
         pool_mod.shutdown()

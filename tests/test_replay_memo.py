@@ -1,19 +1,29 @@
 """The production replay path is observationally identical to the oracle.
 
 For one workload per catalog family, traced under both execution
-engines, the production analyzer (the span replayer over packed
-columns, with warp memoization, serial and on the worker pool) has to
-produce a byte-identical pickled report and identical telemetry
-*counters* to the reference oracle (the tuple replayer, serial, no
-memo -- ``util.oracle_analyze``).  Gauges are excluded by design:
-``memo.*`` hit rates legitimately differ between serial and sharded
-replay, and the ``replay.vector_*`` utilization fractions vary with
-sharding too, which is exactly why they are gauges.
+engines, the analyzer has to produce a byte-identical pickled report
+and identical telemetry *counters* to the reference oracle (the tuple
+replayer, serial, no memo -- ``util.oracle_analyze``) in every replay
+mode:
+
+* ``vector`` -- the production replayer as shipped (span steps,
+  single-lane sweeps, per-block steps where spans do not pay);
+* ``packed`` -- the production replayer held to its per-block step,
+  the path that visitors and short spans take;
+* ``tuple`` -- the oracle's replayer driven by the production pipeline
+  (deduplicated DCFGs, warp memo, warp-order merge);
+
+each with the warp memo on (``memo``) and off (``nomemo``: a visitor
+factory that attaches no visitor, which replays every warp fresh and
+serially, as the trace generator does).  Gauges are excluded by
+design: ``memo.*`` hit rates legitimately differ between serial and
+sharded replay, and the ``replay.vector_*`` utilization fractions vary
+with sharding too, which is exactly why they are gauges.
 
 The synthetic replicated-lane tests then pin down the memo mechanics
 themselves: identical warps actually hit, hits clone rather than
-alias, and the warp-trace generator's output matches the oracle
-replayer's callbacks.
+alias, and the warp-trace generator replays with the memo disabled and
+matches the oracle replayer's callbacks.
 """
 
 import functools
@@ -24,7 +34,7 @@ import pytest
 
 from repro.core import analyzer as analyzer_module
 from repro.core.analyzer import AnalyzerConfig, ThreadFuserAnalyzer
-from repro.core.replay import WarpReplayer
+from repro.core.replay import VectorWarpReplayer, WarpReplayer
 from repro.obs import Recorder
 from repro.tracegen import generate_kernel_trace, save_kernel_trace
 from repro.tracer.events import TraceSet
@@ -48,6 +58,13 @@ WARP_SIZE = 16
 
 ENGINES = ("compiled", "interp")
 
+MODES = ("tuple", "packed", "vector")
+
+#: (mode, memo, jobs).  Pool workers always run the shipped replayer
+#: with their memo, so only that combination also runs at jobs=2.
+COMBOS = [(mode, memo, 1) for mode in MODES for memo in (True, False)]
+COMBOS.append(("vector", True, 2))
+
 
 @functools.lru_cache(maxsize=None)
 def _traces(name, engine="compiled"):
@@ -61,11 +78,22 @@ def _config(name):
                           emulate_locks=(name == "memcached"))
 
 
-def _run(name, jobs, engine="compiled"):
+def _set_mode(monkeypatch, mode):
+    if mode == "tuple":
+        monkeypatch.setattr(analyzer_module, "VectorWarpReplayer",
+                            WarpReplayer)
+    elif mode == "packed":
+        monkeypatch.setattr(VectorWarpReplayer, "_step_entry",
+                            VectorWarpReplayer._step_block)
+
+
+def _run(name, memo, jobs, engine="compiled"):
     recorder = Recorder()
     analyzer = ThreadFuserAnalyzer(_config(name), jobs=jobs,
                                    recorder=recorder)
-    report = analyzer.analyze(_traces(name, engine))
+    report = analyzer.analyze(
+        _traces(name, engine),
+        visitor_factory=None if memo else (lambda index: None))
     telemetry = recorder.telemetry()
     return pickle.dumps(report), dict(telemetry.counters), telemetry.gauges
 
@@ -79,20 +107,31 @@ def _reference(name, engine):
 
 
 class TestMemoParityMatrix:
-    @pytest.mark.parametrize("jobs", (1, 2), ids=["jobs1", "jobs2"])
+    @pytest.mark.parametrize("mode,memo,jobs", COMBOS,
+                             ids=[f"{mode}-"
+                                  f"{'memo' if m else 'nomemo'}-jobs{j}"
+                                  for mode, m, j in COMBOS])
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", FAMILY_WORKLOADS)
-    def test_reports_and_counters_identical(self, name, engine, jobs):
+    def test_reports_and_counters_identical(self, monkeypatch, name,
+                                            engine, mode, memo, jobs):
         reference, ref_counters = _reference(name, engine)
-        report, counters, gauges = _run(name, jobs, engine=engine)
+        _set_mode(monkeypatch, mode)
+        report, counters, gauges = _run(name, memo, jobs, engine=engine)
         assert report == reference
         assert counters == ref_counters
-        if jobs == 1:
+        if memo and jobs == 1:
             # Memoization accounts its activity as gauges, never
             # counters; lookups equal the number of replayed warps.
             assert gauges["memo.warp_lookups"] == pickle.loads(
                 report).metrics.n_warps
             assert "memo.warp_hits" in gauges
+        if not memo:
+            assert "memo.warp_lookups" not in gauges
+        if mode != "vector":
+            # Neither the per-block step nor the oracle replayer
+            # consumes a span.
+            assert gauges["replay.vector_tokens"] == 0
 
 
 def _replicated_traces(n_threads, workload="memo_synth"):
@@ -161,12 +200,14 @@ class TestMemoMechanics:
 
 
 class TestGeneratorParity:
-    def test_kernel_traces_match_the_oracle_replayer(self, monkeypatch):
-        """The warp-trace generator's output is the oracle's.
+    def test_kernel_traces_identical_with_memo_disabled(self, monkeypatch):
+        """The warp-trace generator replays every warp fresh.
 
-        Visitors force fresh per-block replays, so the callbacks the
-        production replayer issues must produce byte-identical warp
-        traces to those of the tuple oracle replaying the same warps.
+        Visitors need every warp's per-block callbacks, so the
+        generator's replay never consults the warp memo, and the
+        callbacks the production replayer issues must produce
+        byte-identical warp traces to those of the tuple oracle
+        replaying the same warps.
         """
         traces = _traces("vectoradd")
         program = get_workload("vectoradd").instantiate(N_THREADS).program
@@ -176,8 +217,17 @@ class TestGeneratorParity:
             save_kernel_trace(kernel, out)
             return out.getvalue()
 
+        memos = []
+        replay_warps = analyzer_module.replay_warps
+
+        def _spy(warps, dcfgs, cfg, memo=None, **kwargs):
+            memos.append(memo)
+            return replay_warps(warps, dcfgs, cfg, memo, **kwargs)
+
+        monkeypatch.setattr(analyzer_module, "replay_warps", _spy)
         production = _serialize(
             generate_kernel_trace(traces, program, warp_size=WARP_SIZE))
+        assert memos == [None]
         monkeypatch.setattr(analyzer_module, "VectorWarpReplayer",
                             WarpReplayer)
         oracle = _serialize(

@@ -12,7 +12,9 @@ without ever touching counters.
 """
 
 import array
+import builtins
 import functools
+import importlib
 import pickle
 import random
 
@@ -170,6 +172,33 @@ class TestBackendPrimitiveParity:
                                            STACK_BASE)
                     == _solo_span_stats_def(maddr, msegf, msegl, lo, hi,
                                             STACK_BASE))
+
+
+class TestNoNumpyFallback:
+    def test_missing_numpy_degrades_to_array_backend(self):
+        """A failed ``import numpy`` must be invisible in the report.
+
+        The primitives are pure stdlib ``array`` code, so with numpy
+        unimportable the module still reloads, reports no numpy
+        acceleration, and the analysis stays byte-identical.
+        """
+        reference = pickle.dumps(_analyze())
+        real_import = builtins.__import__
+
+        def _no_numpy(name, *args, **kwargs):
+            if name == "numpy" or name.startswith("numpy."):
+                raise ImportError("numpy disabled for test")
+            return real_import(name, *args, **kwargs)
+
+        try:
+            builtins.__import__ = _no_numpy
+            importlib.reload(vector)
+            assert not vector.numpy_active()
+            fallback = pickle.dumps(_analyze())
+        finally:
+            builtins.__import__ = real_import
+            importlib.reload(vector)
+        assert fallback == reference
 
 
 # -- synthetic warps: bulk-path coverage and error parity -----------------
