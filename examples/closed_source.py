@@ -54,7 +54,7 @@ def analyst_side(path: str) -> None:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "service.trace.jsonl")
+        path = os.path.join(tmp, "service.trace")
         vendor_side(path)
         analyst_side(path)
     print()

@@ -21,11 +21,11 @@ On-disk layout::
     <root>/objects/<kind>/<hh>/<hash>.<ext>        # payload
     <root>/objects/<kind>/<hh>/<hash>.meta.json    # fingerprint + size
 
-where ``kind`` is one of ``traces`` (JSON-lines via :mod:`repro.tracer.io`),
-``dcfgs`` or ``report`` (pickle, fixed protocol so identical inputs yield
-byte-identical artifacts), or ``telemetry`` (the ``telemetry.json``
-document of a profiled run, see :mod:`repro.obs`), and ``hh`` is the
-first two hash characters.
+where ``kind`` is one of ``traces`` (packed columns, trace format v3
+of :mod:`repro.tracer.io`), ``dcfgs`` or ``report`` (pickle, fixed
+protocol so identical inputs yield byte-identical artifacts), or
+``telemetry`` (the ``telemetry.json`` document of a profiled run, see
+:mod:`repro.obs`), and ``hh`` is the first two hash characters.
 
 Store handles of a *newer* schema open older cache directories without
 complaint: unknown kinds and unaddressable keys are simply reported
@@ -87,7 +87,7 @@ KIND_TELEMETRY = "telemetry"
 KINDS = (KIND_TRACES, KIND_DCFGS, KIND_REPORT, KIND_TELEMETRY)
 
 _EXT = {
-    KIND_TRACES: "jsonl",
+    KIND_TRACES: "trace",
     KIND_DCFGS: "pkl",
     KIND_REPORT: "pkl",
     KIND_TELEMETRY: "json",
@@ -458,10 +458,9 @@ class ArtifactStore:
         if data is None:
             return None
         try:
-            return trace_io.load_traces(
-                _stdio.StringIO(data.decode("utf-8")), program=program
-            )
-        except (TraceCorruptError, UnicodeDecodeError):
+            return trace_io.load_traces(_stdio.BytesIO(data),
+                                        program=program)
+        except TraceCorruptError:
             self.stats.corrupt += 1
             self.stats.misses += 1
             self.stats.hits -= 1
@@ -631,10 +630,14 @@ class ArtifactStore:
 
 
 def serialize_traces(traces: TraceSet) -> bytes:
-    """The exact bytes :meth:`ArtifactStore.put_traces` persists."""
-    buffer = _stdio.StringIO()
+    """The exact bytes :meth:`ArtifactStore.put_traces` persists.
+
+    Trace format v3: packs each thread once (the pack stays cached on
+    the trace, so a following replay reuses it) and copies its columns.
+    """
+    buffer = _stdio.BytesIO()
     trace_io.save_traces(traces, buffer)
-    return buffer.getvalue().encode("utf-8")
+    return buffer.getvalue()
 
 
 __all__ = [

@@ -86,7 +86,8 @@ class ArtifactCorruptError(ReproError):
 
 
 class TraceCorruptError(ReproError, ValueError):
-    """A trace stream is truncated, garbled, or fails its checksum.
+    """A trace stream is truncated, garbled, or fails its checksum or
+    a structural check.
 
     Raised by :func:`repro.tracer.io.load_traces` *before* any partial
     data can reach the analyzer.  Subclasses :class:`ValueError` for

@@ -36,12 +36,10 @@ from __future__ import annotations
 
 import dataclasses
 import io as _stdio
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import faults
 from . import pool as pool_mod
-from .errors import RetryExhaustedError
 from .artifacts import (
     KIND_DCFGS,
     KIND_REPORT,
@@ -468,9 +466,8 @@ class AnalysisSession:
             fields = self.trace_fields(name, n_threads, seed, opt_level)
             program = self._program(name, n_threads, seed, opt_level)
             try:
-                traces = trace_io.load_traces(
-                    _stdio.StringIO(data.decode("utf-8")), program=program
-                )
+                traces = trace_io.load_traces(_stdio.BytesIO(data),
+                                              program=program)
             except trace_io.TraceCorruptError:
                 # The worker's result stream was corrupted in transit;
                 # regenerate serially (bit-identical by construction).
@@ -675,8 +672,9 @@ def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
     """Pool worker: trace one workload, return serialized traces.
 
     Results cross the process boundary in the trace-file wire format
-    (not pickles of live objects), so the bytes the parent stores are
-    identical to what a serial run would have written.  The machine's
+    (the packed columns of format v3, not pickles of live objects), so
+    the bytes the parent stores are identical to what a serial run
+    would have written.  The machine's
     telemetry counts ride along so parallel trace generation exports
     the same counters as a serial run.
     """

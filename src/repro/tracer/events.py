@@ -107,7 +107,7 @@ class ThreadTrace:
     def packed_only(self):
         """The packed form if tuples were never materialized, else None.
 
-        Lets columnar-native consumers (io save, DCFG scan) skip tuple
+        Lets columnar-native consumers (the DCFG scan) skip tuple
         round-trips for traces that came off disk already packed.
         """
         return self._packed if self._tokens is None else None

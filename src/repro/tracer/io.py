@@ -1,170 +1,218 @@
 """Trace-file (de)serialization.
 
-The paper's tracer writes trace files consumed later by the analyzer; we
-mirror that with a compact JSON-lines format: one header line, then one
-line per logical thread.  Memory records are flattened to keep files small.
+The paper's tracer writes per-thread trace files that the analyzer later
+verifies and replays.  Format v3 stores each logical thread as the eight
+pristine columns of its :class:`~repro.tracer.packed.PackedTrace`
+(little-endian, the buffers the packed content signature covers), so
+writing a trace is one column copy and reading one is one column split --
+no per-token encoding in either direction.  A file is one JSON header
+line followed by the threads' columns, back to back::
 
-Format v2 hardens the stream against silent corruption: the header
-carries a sha256 checksum over the header-sans-checksum plus the body,
-and :func:`load_traces` verifies it (and the thread count) before any
-record reaches the analyzer.  A truncated, bit-flipped, or otherwise
-garbled file raises a precise :class:`~repro.errors.TraceCorruptError`
-instead of decoding garbage.  v1 files (no checksum) still load, with
-the structural checks only -- schema-tolerant recovery for caches
-written by older releases.
+    {"version": 3, "workload": ..., "untraced_skipped": {...},
+     "n_threads": N, "threads": [{"index", "cpu_tid", "root", "skipped",
+     "names", "n_tokens", "n_mems"}, ...], "sha256": ...}\\n
+    <kinds arg nins moff mslot mstore maddr msize of thread 0> ...
+
+The header's ``sha256`` (its last key) covers the header line without it
+plus the body, so :func:`load_traces` rejects a truncated, bit-flipped or
+otherwise garbled file with a precise
+:class:`~repro.errors.TraceCorruptError` before decoding anything.  The
+checksum is declared inside the file, so it cannot vouch for the
+structure: the loader then checks the body length against the shapes
+the header declares, and every thread's columns
+(:meth:`~repro.tracer.packed.PackedTrace.from_columns`) and the thread
+count.
+
+Files written by earlier releases in the JSON-lines formats (v2 with the
+same checksum rule, v1 without one) still load: their token records are
+packed by :meth:`~repro.tracer.packed.PackedTrace.from_records`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO, Union
+from typing import IO, Iterable, Union
 
 from .. import faults
 from ..errors import TraceCorruptError
 from .events import TraceSet
-from .packed import PackedTrace
+from .packed import PackedTrace, columns_nbytes
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-#: Versions :func:`load_traces` accepts; pre-checksum v1 files load with
-#: structural validation only.
-SUPPORTED_VERSIONS = (1, 2)
+#: Versions :func:`load_traces` accepts; v1/v2 are the JSON-lines formats
+#: of earlier releases (v1 without a checksum).
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 _CORRUPT_HINT = ("the trace file is truncated or corrupted; delete it "
                  "and re-trace (cached traces are regenerated "
                  "automatically)")
 
 
-def _encode_token(token: tuple) -> list:
-    if token[0] == "B":
-        kind, addr, nins, mems = token
-        flat = [rec for mem in mems for rec in
-                (mem[0], 1 if mem[1] else 0, mem[2], mem[3])]
-        return [kind, addr, nins, flat]
-    return list(token)
+def _corrupt(message: str) -> TraceCorruptError:
+    return TraceCorruptError(message, site="trace.load", hint=_CORRUPT_HINT)
 
 
-def _decode_token(raw: list) -> tuple:
-    if raw[0] == "B":
-        kind, addr, nins, flat = raw
-        mems = tuple(
-            (flat[i], bool(flat[i + 1]), flat[i + 2], flat[i + 3])
-            for i in range(0, len(flat), 4)
-        )
-        return (kind, addr, nins, mems)
-    return tuple(raw)
+def _checksum(header: dict, body_parts: Iterable[bytes]) -> str:
+    """sha256 over the header line without its checksum, plus the body."""
+    stripped = {k: v for k, v in header.items() if k != "sha256"}
+    hasher = hashlib.sha256(json.dumps(stripped).encode("utf-8"))
+    hasher.update(b"\n")
+    for part in body_parts:
+        hasher.update(part)
+    return hasher.hexdigest()
 
 
-def save_traces(traces: TraceSet, fp: Union[str, IO]) -> None:
-    """Write ``traces`` to a path or file object as JSON lines."""
+def save_traces(traces: TraceSet, fp: Union[str, IO[bytes]]) -> None:
+    """Write ``traces`` in format v3 to a path or binary file object."""
+    threads = []
     body_parts = []
     for trace in traces.threads:
-        # Traces that are still in columnar form (loaded from disk, or
-        # already packed for replay) are encoded straight from their
-        # buffers -- the wire records are identical either way, so the
-        # output bytes (and therefore artifact checksums) never depend
-        # on which representation the trace happens to be in.
-        packed = trace.packed_only()
-        if packed is not None:
-            tokens = packed.to_records()
-        else:
-            tokens = [_encode_token(t) for t in trace.tokens]
-        record = {
+        packed = trace.packed()
+        # A pack corrupted after its signature was taken must fail here
+        # rather than be persisted as a self-consistent file.
+        packed.ensure_verified()
+        threads.append({
             "index": trace.index,
             "cpu_tid": trace.cpu_tid,
             "root": trace.root,
             "skipped": trace.skipped,
-            "tokens": tokens,
-        }
-        body_parts.append(json.dumps(record) + "\n")
-    body = "".join(body_parts)
+            "names": list(packed.names),
+            "n_tokens": packed.n_tokens,
+            "n_mems": len(packed.mslot),
+        })
+        body_parts.append(packed.column_bytes())
     header = {
         "version": FORMAT_VERSION,
         "workload": traces.workload,
         "untraced_skipped": traces.untraced_skipped,
         "n_threads": len(traces.threads),
+        "threads": threads,
     }
-    # The checksum covers the header (sans the checksum itself) plus the
-    # body, so a flipped byte anywhere -- including in the header fields
-    # -- fails verification.  It must stay the *last* key written.
-    digest = hashlib.sha256(
-        (json.dumps(header) + "\n" + body).encode("utf-8")
-    ).hexdigest()
-    header["sha256"] = digest
+    # Computed without the checksum key, which must stay the last one.
+    header["sha256"] = _checksum(header, body_parts)
     own = isinstance(fp, str)
-    out = open(fp, "w") if own else fp
+    out = open(fp, "wb") if own else fp
     try:
-        out.write(json.dumps(header) + "\n")
-        out.write(body)
+        out.write(json.dumps(header).encode("utf-8") + b"\n")
+        for part in body_parts:
+            out.write(part)
     finally:
         if own:
             out.close()
 
 
-def _verify_checksum(header: dict, body: str) -> None:
+def _verify_checksum(header: dict, body: bytes) -> None:
     expected = header.get("sha256")
     if not isinstance(expected, str):
-        raise TraceCorruptError(
-            "trace header is missing its sha256 checksum",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
-    stripped = {k: v for k, v in header.items() if k != "sha256"}
-    actual = hashlib.sha256(
-        (json.dumps(stripped) + "\n" + body).encode("utf-8")
-    ).hexdigest()
+        raise _corrupt("trace header is missing its sha256 checksum")
+    actual = _checksum(header, (body,))
     if actual != expected:
-        raise TraceCorruptError(
+        raise _corrupt(
             f"trace stream failed its checksum (expected {expected[:12]}.., "
-            f"got {actual[:12]}..)",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
+            f"got {actual[:12]}..)")
 
 
-def load_traces(fp: Union[str, IO], program=None) -> TraceSet:
-    """Read a :class:`TraceSet` written by :func:`save_traces`.
+def _shape(meta: dict) -> tuple:
+    n_tokens, n_mems = meta["n_tokens"], meta["n_mems"]
+    for count in (n_tokens, n_mems):
+        if type(count) is not int or count < 0:
+            raise ValueError(f"bad column shape {count!r}")
+    return n_tokens, n_mems
 
-    Raises :class:`~repro.errors.TraceCorruptError` (a ``ValueError``
-    subclass) when the stream is empty, truncated, bit-flipped, fails
-    its checksum, or was written under an unsupported format version.
+
+def _load_columns(traces: TraceSet, header: dict, body: bytes) -> None:
+    """Decode a v3 body: each thread's columns, as the header shapes them."""
+    threads = header.get("threads")
+    n_threads = header.get("n_threads")
+    if not isinstance(threads, list) or type(n_threads) is not int \
+            or len(threads) != n_threads:
+        raise _corrupt(
+            f"trace header describes "
+            f"{len(threads) if isinstance(threads, list) else 'no'} "
+            f"threads but promises n_threads={n_threads!r}")
+    try:
+        shapes = [_shape(meta) for meta in threads]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _corrupt(f"trace header has a malformed thread shape: "
+                       f"{type(exc).__name__}: {exc}") from None
+    sizes = [columns_nbytes(*shape) for shape in shapes]
+    if sum(sizes) != len(body):
+        raise _corrupt(
+            f"trace body holds {len(body)} bytes, the header's column "
+            f"shapes imply {sum(sizes)}")
+    view = memoryview(body)
+    offset = 0
+    for position, (meta, shape, size) in enumerate(
+            zip(threads, shapes, sizes)):
+        try:
+            trace = traces.new_thread(meta["cpu_tid"], meta["root"])
+            trace.skipped = dict(meta["skipped"])
+            trace.attach_packed(PackedTrace.from_columns(
+                view[offset:offset + size], *shape, meta["names"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise _corrupt(
+                f"trace thread {position} is malformed: "
+                f"{type(exc).__name__}: {exc}") from None
+        trace.closed = True
+        offset += size
+
+
+def _load_records(traces: TraceSet, body: bytes) -> None:
+    """Decode a v1/v2 JSON-lines body: one token-record line per thread."""
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _corrupt(f"trace stream is not valid UTF-8: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=2):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            raise _corrupt(
+                f"trace record at line {lineno} is truncated or garbled"
+            ) from None
+        try:
+            trace = traces.new_thread(record["cpu_tid"], record["root"])
+            trace.skipped = dict(record["skipped"])
+            trace.attach_packed(PackedTrace.from_records(record["tokens"]))
+        except (KeyError, TypeError, IndexError, ValueError,
+                OverflowError) as exc:
+            raise _corrupt(
+                f"trace record at line {lineno} is malformed: "
+                f"{type(exc).__name__}: {exc}") from None
+        trace.closed = True
+
+
+def load_traces(fp: Union[str, IO[bytes]], program=None) -> TraceSet:
+    """Read a :class:`TraceSet` from a path or binary file object.
+
+    Reads format v3 (written by :func:`save_traces`) and the v1/v2
+    JSON-lines files of earlier releases.  Raises
+    :class:`~repro.errors.TraceCorruptError` (a ``ValueError`` subclass)
+    when the stream is empty, truncated, bit-flipped, fails its checksum
+    or a structural check, or was written under an unsupported format
+    version.
     """
     own = isinstance(fp, str)
-    inp = open(fp) if own else fp
+    inp = open(fp, "rb") if own else fp
     try:
-        text = inp.read()
+        data = inp.read()
     finally:
         if own:
             inp.close()
-    plan = faults.active()
-    if plan is not None:
-        encoded = text.encode("utf-8")
-        raw = plan.mangle("trace.load", encoded)
-        if raw is not encoded:
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceCorruptError(
-                    f"trace stream is not valid UTF-8: {exc}",
-                    site="trace.load", hint=_CORRUPT_HINT,
-                ) from None
-    if not text.strip():
-        raise TraceCorruptError(
-            "trace stream is empty (truncated before the header?)",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
-    header_line, _newline, body = text.partition("\n")
+    data = faults.mangle("trace.load", data)
+    if not data.strip():
+        raise _corrupt("trace stream is empty (truncated before the header?)")
+    header_line, _newline, body = data.partition(b"\n")
     try:
         header = json.loads(header_line)
     except ValueError as exc:
-        raise TraceCorruptError(
-            f"trace header is not valid JSON: {exc}",
-            site="trace.load", hint=_CORRUPT_HINT,
-        ) from None
+        raise _corrupt(f"trace header is not valid JSON: {exc}") from None
     if not isinstance(header, dict) or "version" not in header:
-        raise TraceCorruptError(
-            "trace header is not an object with a 'version' field",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
+        raise _corrupt("trace header is not an object with a 'version' field")
     version = header.get("version")
     if version not in SUPPORTED_VERSIONS:
         raise TraceCorruptError(
@@ -179,42 +227,17 @@ def load_traces(fp: Union[str, IO], program=None) -> TraceSet:
     traces = TraceSet(workload=header.get("workload", ""), program=program)
     skipped = header.get("untraced_skipped", {})
     if not isinstance(skipped, dict):
-        raise TraceCorruptError(
-            "trace header field 'untraced_skipped' is not an object",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
+        raise _corrupt("trace header field 'untraced_skipped' is not an "
+                       "object")
     traces.untraced_skipped = dict(skipped)
-    for lineno, line in enumerate(body.splitlines(), start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise TraceCorruptError(
-                f"trace record at line {lineno} is truncated or garbled",
-                site="trace.load", hint=_CORRUPT_HINT,
-            ) from None
-        try:
-            trace = traces.new_thread(record["cpu_tid"], record["root"])
-            trace.skipped = dict(record["skipped"])
-            # Decode straight into the columnar form; token tuples stay
-            # lazy (materialized only if a consumer reads .tokens), so
-            # the whole load -> replay path runs on compact buffers.
-            trace.attach_packed(PackedTrace.from_records(record["tokens"]))
-        except (KeyError, TypeError, IndexError, ValueError,
-                OverflowError) as exc:
-            raise TraceCorruptError(
-                f"trace record at line {lineno} is malformed: "
-                f"{type(exc).__name__}: {exc}",
-                site="trace.load", hint=_CORRUPT_HINT,
-            ) from None
-        trace.closed = True
+    if version >= 3:
+        _load_columns(traces, header, body)
+        return traces
+    _load_records(traces, body)
     expected_threads = header.get("n_threads")
     if isinstance(expected_threads, int) \
             and len(traces.threads) != expected_threads:
-        raise TraceCorruptError(
+        raise _corrupt(
             f"trace stream truncated: header promises {expected_threads} "
-            f"threads, found {len(traces.threads)}",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
+            f"threads, found {len(traces.threads)}")
     return traces

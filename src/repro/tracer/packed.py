@@ -30,6 +30,11 @@ columns for the production replayer, which compares ``mcnt`` slices
 across lanes at C speed and consumes whole ``bext`` spans -- memory
 blocks included -- per accounting call.
 
+The eight pristine columns (:data:`PRISTINE_COLUMNS`, everything above
+except ``cumn``) are also the trace-file wire format: :meth:`column_bytes`
+encodes them little-endian and :meth:`from_columns` decodes and validates
+them (format v3 of :mod:`repro.tracer.io`).
+
 Integrity: the signature is computed over the pristine buffers at pack
 time and :meth:`ensure_verified` re-hashes before first use, so any later
 corruption of the packed buffers (including injected ``trace.pack``
@@ -41,8 +46,10 @@ signature feeding the memo table.
 from __future__ import annotations
 
 import hashlib
+import sys
 from array import array
-from typing import Iterable, List, Tuple
+from operator import le
+from typing import Iterable, List, Sequence, Tuple
 
 from ..errors import TraceCorruptError
 from .events import TOK_BLOCK, TOK_CALL, TOK_LOCK, TOK_RET, TOK_UNLOCK
@@ -66,22 +73,35 @@ _PACK_HINT = (
     "workload (or clear the artifact cache) to rebuild the trace"
 )
 
-#: Column layout of one packed trace inside a shared-memory arena:
-#: ``(attribute, array typecode)`` in serialization order.  Derived
-#: columns (``cumn``, ``msegf``, ``msegl``, ``mcnt``, ``bext``) are
-#: exported too, so attaching workers never recompute
-#: prefix sums -- but only the eight pristine columns participate in
-#: the content signature, exactly as for in-process instances.
-SHM_COLUMNS = (
+#: The columns the content signature covers, ``(attribute, typecode)`` in
+#: signature order -- also the order of the trace-file wire encoding
+#: (:meth:`PackedTrace.column_bytes`).  Every other column is derived.
+PRISTINE_COLUMNS = (
     ("kinds", "b"),
     ("arg", "q"),
     ("nins", "q"),
-    ("cumn", "q"),
     ("moff", "q"),
     ("mslot", "q"),
     ("mstore", "b"),
     ("maddr", "q"),
     ("msize", "q"),
+)
+
+#: Wire columns are little-endian; big-endian hosts swap on the way.
+_SWAP = sys.byteorder == "big"
+
+#: Valid bytes of the ``kinds`` column (``KIND_B`` .. ``KIND_UNLOCK``),
+#: and the byte of a call token.
+_KIND_CODES = bytes(range(len(CODE_KINDS)))
+_CALL_CODE = bytes((KIND_CALL,))
+
+#: Column layout of one packed trace inside a shared-memory arena:
+#: ``(attribute, array typecode)`` in serialization order.  The derived
+#: columns follow the pristine ones, so attaching workers never recompute
+#: prefix sums -- but only the pristine columns participate in the
+#: content signature, exactly as for in-process instances.
+SHM_COLUMNS = PRISTINE_COLUMNS + (
+    ("cumn", "q"),
     ("msegf", "q"),
     ("msegl", "q"),
     ("mcnt", "q"),
@@ -95,6 +115,47 @@ SHM_ALIGN = 8
 
 def _align(offset: int) -> int:
     return (offset + SHM_ALIGN - 1) & ~(SHM_ALIGN - 1)
+
+
+def _column_lengths(n_tokens: int, n_mems: int) -> Tuple[int, ...]:
+    """Entries per pristine column of a trace with this shape."""
+    return (n_tokens,) * 3 + (n_tokens + 1,) + (n_mems,) * 4
+
+
+def columns_nbytes(n_tokens: int, n_mems: int) -> int:
+    """Length of :meth:`PackedTrace.column_bytes` for this shape."""
+    return sum(
+        count * (1 if typecode == "b" else 8)
+        for (_attr, typecode), count in zip(
+            PRISTINE_COLUMNS, _column_lengths(n_tokens, n_mems)))
+
+
+def _split_columns(blob, n_tokens: int, n_mems: int) -> List[array]:
+    """Inverse of :meth:`PackedTrace.column_bytes`.
+
+    Raises ``ValueError`` unless ``blob`` holds exactly the columns of
+    a trace with ``n_tokens`` tokens and ``n_mems`` memory records.
+    """
+    if n_tokens < 0 or n_mems < 0:
+        raise ValueError(f"negative trace shape ({n_tokens}, {n_mems})")
+    expected = columns_nbytes(n_tokens, n_mems)
+    if len(blob) != expected:
+        raise ValueError(
+            f"column bytes hold {len(blob)} bytes, the shape implies "
+            f"{expected}")
+    view = memoryview(blob)
+    columns = []
+    offset = 0
+    for (_attr, typecode), count in zip(
+            PRISTINE_COLUMNS, _column_lengths(n_tokens, n_mems)):
+        column = array(typecode)
+        end = offset + count * column.itemsize
+        column.frombytes(view[offset:end])
+        if _SWAP:
+            column.byteswap()
+        columns.append(column)
+        offset = end
+    return columns
 
 
 class PackedTrace:
@@ -206,7 +267,10 @@ class PackedTrace:
 
     @classmethod
     def from_records(cls, records: Iterable) -> "PackedTrace":
-        """Pack decoded wire records (lists) without building tuples.
+        """Pack the token records of a v1/v2 JSON-lines trace file.
+
+        Earlier releases wrote traces as one JSON list per token; these
+        records are packed straight into columns, without tuples.
 
         Raises the same exception families as tuple decoding on malformed
         input (``KeyError``/``TypeError``/``IndexError``/``ValueError``/
@@ -265,6 +329,43 @@ class PackedTrace:
         return cls(kinds, arg, nins, moff, mslot, mstore, maddr, msize,
                    tuple(names))
 
+    @classmethod
+    def from_columns(cls, blob, n_tokens: int, n_mems: int,
+                     names: Sequence[str]) -> "PackedTrace":
+        """Decode :meth:`column_bytes` output (one thread of a v3 file).
+
+        The bytes come from outside the process, so the structure the
+        replayer relies on is checked before any derived column is
+        built: the exact byte length, ``moff`` starting at 0, never
+        decreasing and ending at ``n_mems``, kind codes in range, store
+        flags 0 or 1, and call indexes within ``names``.  Violations
+        raise ``ValueError`` (``TypeError`` unless ``names`` is a list
+        or tuple of strings).
+        """
+        columns = _split_columns(blob, n_tokens, n_mems)
+        kinds, arg, _nins, moff, _mslot, mstore, _maddr, _msize = columns
+        if not isinstance(names, (list, tuple)) \
+                or not all(isinstance(name, str) for name in names):
+            raise TypeError(f"callee names are not strings: {names!r}")
+        names = tuple(names)
+        codes = kinds.tobytes()
+        if codes.translate(None, _KIND_CODES):
+            raise ValueError("kind code out of range")
+        if mstore.tobytes().translate(None, b"\x00\x01"):
+            raise ValueError("store flag is neither 0 nor 1")
+        if moff[0] != 0 or moff[-1] != n_mems \
+                or not all(map(le, moff, moff[1:])):
+            raise ValueError(
+                "memory offsets do not run from 0 up to the record count")
+        call = codes.find(_CALL_CODE)
+        while call >= 0:
+            if not 0 <= arg[call] < len(names):
+                raise ValueError(
+                    f"call index {arg[call]} outside the {len(names)} "
+                    f"callee names")
+            call = codes.find(_CALL_CODE, call + 1)
+        return cls(*columns, names)
+
     # ------------------------------------------------------------------
     # reconstruction (cold paths: error messages, lazy materialization)
 
@@ -295,31 +396,19 @@ class PackedTrace:
         """Materialize the full tuple stream (identical to the original)."""
         return [self.token(i) for i in range(self.n_tokens)]
 
-    def to_records(self) -> List[list]:
-        """The wire-format records of :mod:`repro.tracer.io`.
+    def column_bytes(self) -> bytes:
+        """The pristine columns, little-endian, in signature order.
 
-        Byte-for-byte identical (after JSON encoding) to encoding the
-        tuple stream, so artifact checksums do not depend on which
-        representation a trace is in when it is saved.
+        The per-thread body of a trace file (format v3 of
+        :mod:`repro.tracer.io`); :meth:`from_columns` inverts it.
         """
-        out = []
-        kinds, arg, nins, moff = self.kinds, self.arg, self.nins, self.moff
-        mslot, mstore, maddr, msize = (
-            self.mslot, self.mstore, self.maddr, self.msize)
-        for i in range(self.n_tokens):
-            kind = kinds[i]
-            if kind == KIND_B:
-                flat = []
-                for j in range(moff[i], moff[i + 1]):
-                    flat.extend((mslot[j], mstore[j], maddr[j], msize[j]))
-                out.append([TOK_BLOCK, arg[i], nins[i], flat])
-            elif kind == KIND_CALL:
-                out.append([TOK_CALL, self.names[arg[i]]])
-            elif kind == KIND_RET:
-                out.append([TOK_RET])
-            else:
-                out.append([CODE_KINDS[kind], arg[i]])
-        return out
+        columns = [getattr(self, attr) for attr, _ in PRISTINE_COLUMNS]
+        if _SWAP:
+            columns = [array(typecode, column) for column, (_, typecode)
+                       in zip(columns, PRISTINE_COLUMNS)]
+            for column in columns:
+                column.byteswap()
+        return b"".join(columns)
 
     # ------------------------------------------------------------------
     # shared-memory export (zero-copy transport between processes)
@@ -420,9 +509,8 @@ class PackedTrace:
         hasher = hashlib.sha256()
         hasher.update(b"threadfuser-packed-v1\x00")
         hasher.update(self.n_tokens.to_bytes(8, "little"))
-        for column in (self.kinds, self.arg, self.nins, self.moff,
-                       self.mslot, self.mstore, self.maddr, self.msize):
-            hasher.update(column.tobytes())
+        for attr, _typecode in PRISTINE_COLUMNS:
+            hasher.update(getattr(self, attr))
             hasher.update(b"\x00")
         for name in self.names:
             hasher.update(name.encode("utf-8"))
@@ -455,29 +543,20 @@ class PackedTrace:
         plan = faults.active()
         if plan is None:
             return
-        blob = b"".join(
-            column.tobytes()
-            for column in (self.kinds, self.arg, self.nins, self.moff,
-                           self.mslot, self.mstore, self.maddr, self.msize))
+        blob = self.column_bytes()
         mangled = plan.mangle("trace.pack", blob, token=self.signature)
         if mangled == blob:
             return
         # Rebuild the columns from the mangled blob; a truncation that no
         # longer covers every column is itself corruption.
-        offset = 0
-        for name in ("kinds", "arg", "nins", "moff",
-                     "mslot", "mstore", "maddr", "msize"):
-            column = getattr(self, name)
-            span = len(column) * column.itemsize
-            chunk = mangled[offset:offset + span]
-            if len(chunk) != span:
-                raise TraceCorruptError(
-                    "packed trace buffers truncated by fault injection",
-                    site="trace.pack", hint=_PACK_HINT)
-            fresh = array(column.typecode)
-            fresh.frombytes(chunk)
-            setattr(self, name, fresh)
-            offset += span
+        try:
+            columns = _split_columns(mangled, self.n_tokens, len(self.mslot))
+        except ValueError:
+            raise TraceCorruptError(
+                "packed trace buffers truncated by fault injection",
+                site="trace.pack", hint=_PACK_HINT) from None
+        for (attr, _typecode), column in zip(PRISTINE_COLUMNS, columns):
+            setattr(self, attr, column)
 
     def __repr__(self) -> str:
         return (

@@ -346,6 +346,20 @@ class TestPackedTraceFaults:
                 analyze_traces(traces, warp_size=8)
         assert excinfo.value.site == "trace.pack"
 
+    def test_corrupt_pack_is_never_stored(self, tmp_path):
+        # Trace files are written from the packed columns, so the
+        # writer verifies them first: a corrupted pack fails typed
+        # instead of persisting as a self-consistent file.
+        cache = str(tmp_path / "cache")
+        plan = FaultPlan([FaultSpec(site="trace.pack", kind="bitflip")])
+        with faults.injected(plan):
+            session = AnalysisSession(cache_dir=cache)
+            with pytest.raises(TraceCorruptError) as excinfo:
+                session.trace("vectoradd", n_threads=N_THREADS)
+        assert excinfo.value.site == "trace.pack"
+        assert not any(entry.kind == KIND_TRACES
+                       for entry in ArtifactStore(cache).entries())
+
 
 class TestEnvironmentPlans:
     def test_smoke_plan_arms_only_recovery_transparent_sites(self):
@@ -463,7 +477,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 @pytest.fixture(scope="module")
 def trace_text(baseline):
-    return baseline["vectoradd"].decode("utf-8")
+    return baseline["vectoradd"]
 
 
 class TestFuzzCorruption:
@@ -494,16 +508,18 @@ class TestFuzzCorruption:
 
     @settings(max_examples=30, deadline=None)
     @given(pos_frac=st.floats(min_value=0.0, max_value=1.0),
-           replacement=st.sampled_from(list('Xz9"{}[],:0')))
+           replacement=st.sampled_from(list(b'Xz9"{}[],:0\x00\xff')))
     def test_loader_never_accepts_mutated_text(self, trace_text,
                                                pos_frac, replacement):
         pos = min(int(pos_frac * len(trace_text)), len(trace_text) - 1)
         if trace_text[pos] == replacement:
-            replacement = "X" if trace_text[pos] != "X" else "Y"
-        mutated = trace_text[:pos] + replacement + trace_text[pos + 1:]
+            replacement = ord("X") if trace_text[pos] != ord("X") \
+                else ord("Y")
+        mutated = trace_text[:pos] + bytes([replacement]) \
+            + trace_text[pos + 1:]
         with faults.injected(None):
             with pytest.raises(TraceCorruptError):
-                load_traces(io.StringIO(mutated))
+                load_traces(io.BytesIO(mutated))
 
     @settings(max_examples=15, deadline=None)
     @given(keep_frac=st.floats(min_value=0.0, max_value=0.999))
@@ -511,7 +527,7 @@ class TestFuzzCorruption:
         mutated = trace_text[: int(keep_frac * len(trace_text))]
         with faults.injected(None):
             with pytest.raises(TraceCorruptError):
-                load_traces(io.StringIO(mutated))
+                load_traces(io.BytesIO(mutated))
 
 
 class TestIndexFaults:

@@ -360,6 +360,11 @@ class TestSessionIntegration:
             for name, traces in serial.trace_many(
                 names, n_threads=N_THREADS).items()
         }
+        # A fresh run outside any session writes the same bytes.
+        for name in names:
+            fresh, _machine = trace_instance(
+                get_workload(name).instantiate(N_THREADS))
+            assert serialize_traces(fresh) == expected[name]
         with AnalysisSession(jobs=2) as session:
             traced = session.trace_many(names, n_threads=N_THREADS)
             for name in names:

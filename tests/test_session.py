@@ -211,11 +211,16 @@ class TestParallelReplayParity:
         parallel = AnalysisSession(cache_dir=str(tmp_path / "p"), jobs=3)
         traced = parallel.trace_many(names, n_threads=N_THREADS)
         serial = AnalysisSession()
-        from repro.artifacts import serialize_traces
+        from repro.artifacts import KIND_TRACES, serialize_traces
 
         for name in names:
             expected = serial.trace(name, n_threads=N_THREADS)
             assert serialize_traces(traced[name]) \
+                == serialize_traces(expected)
+            # The store keeps the bytes the worker shipped: the serial
+            # run's bytes.
+            fields = parallel.trace_fields(name, N_THREADS)
+            assert parallel.store.get_bytes(KIND_TRACES, fields) \
                 == serialize_traces(expected)
         # Concurrent generation still populated the artifact store.
         warm = AnalysisSession(cache_dir=str(tmp_path / "p"))

@@ -159,7 +159,7 @@ class TestTraceSerialization:
         traces, _m = run_traced(
             program, [("worker", [t], None) for t in range(4)], ["worker"]
         )
-        buf = io.StringIO()
+        buf = io.BytesIO()
         save_traces(traces, buf)
         buf.seek(0)
         loaded = load_traces(buf)
@@ -179,6 +179,6 @@ class TestTraceSerialization:
         assert loaded.threads[0].tokens == traces.threads[0].tokens
 
     def test_version_mismatch_rejected(self):
-        buf = io.StringIO('{"version": 99}\n')
+        buf = io.BytesIO(b'{"version": 99}\n')
         with pytest.raises(ValueError):
             load_traces(buf)

@@ -10,6 +10,8 @@ post-pack corruption must surface as a typed
 replay inputs or memo keys.
 """
 
+import json
+
 import pytest
 
 from repro.errors import TraceCorruptError
@@ -23,6 +25,7 @@ from repro.tracer.events import (
 )
 from repro.tracer.packed import TRANSACTION_SHIFT, PackedTrace
 from repro.workloads import get_workload, trace_instance
+from util import legacy_record
 
 #: A hand-written stream exercising every token kind, nested calls,
 #: repeated callees, and multi-record memory blocks.
@@ -70,7 +73,9 @@ class TestRoundTrip:
 
     def test_records_round_trip_through_wire_format(self):
         packed = PackedTrace.from_tokens(SAMPLE_TOKENS)
-        again = PackedTrace.from_records(packed.to_records())
+        again = PackedTrace.from_columns(
+            packed.column_bytes(), packed.n_tokens, len(packed.mslot),
+            packed.names)
         assert again.to_tokens() == SAMPLE_TOKENS
         assert again.signature == packed.signature
 
@@ -262,8 +267,14 @@ class TestPackedProperties:
     @given(tokens=_tokens)
     def test_signature_canonical_over_representations(self, tokens):
         direct = PackedTrace.from_tokens(tokens)
-        via_wire = PackedTrace.from_records(direct.to_records())
+        via_wire = PackedTrace.from_columns(
+            direct.column_bytes(), direct.n_tokens, len(direct.mslot),
+            direct.names)
         assert via_wire.signature == direct.signature
+        # The JSON-lines records of earlier releases pack identically.
+        via_legacy = PackedTrace.from_records(
+            json.loads(json.dumps([legacy_record(t) for t in tokens])))
+        assert via_legacy.signature == direct.signature
 
     @settings(max_examples=60, deadline=None)
     @given(tokens=_tokens)

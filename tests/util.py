@@ -62,6 +62,21 @@ def oracle_analyze(traces, config=None, recorder=None) -> AnalysisReport:
     )
 
 
+def legacy_record(token: tuple) -> list:
+    """One token as a record of the v1/v2 JSON-lines trace format.
+
+    Earlier releases wrote trace files this way and the loader still
+    reads them (through ``PackedTrace.from_records``), so tests build
+    legacy streams with it.
+    """
+    if token[0] == "B":
+        kind, addr, nins, mems = token
+        flat = [field for mem in mems
+                for field in (mem[0], 1 if mem[1] else 0, mem[2], mem[3])]
+        return [kind, addr, nins, flat]
+    return list(token)
+
+
 def build_diamond_program():
     """worker(tid): if tid odd -> add path, else -> mul path; then join."""
     b = ProgramBuilder()
