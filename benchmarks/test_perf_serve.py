@@ -20,11 +20,14 @@ enumerates the tracked keys).
 
 On top of the single-session latency shapes, a **(clients x shards)
 saturation sweep** boots the server at shards in {1, 2, 4} (fresh
-cache each; ``repro.shards.ShardPool`` session worker processes) and
+cache each; ``repro.shards.ShardPool`` shard worker processes) and
 drives distinct cold sweep jobs from concurrent clients -- the
 measured scaling curve of the horizontal serve layer
 (``saturation.shards.<N>.throughput_ips`` and the derived
 ``saturation.shards2_speedup`` / ``saturation.shards4_speedup``).
+One in-process row at ``jobs=2`` (``saturation.inline_jobs2``) is the
+alternative sharding has to beat: ``saturation.shards2_vs_inline_jobs2``
+is shards=2 throughput over it.
 The burst is replayed against the sharded server too: exactly one
 machine execution must happen even when the duplicate submits land on
 different shards.
@@ -58,6 +61,7 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import serve_load  # noqa: E402  (tools/serve_load.py)
 
+from repro import pool as pool_mod  # noqa: E402
 from repro.serve import start_in_background  # noqa: E402
 
 SMOKE = os.environ.get("THREADFUSER_PERF_SMOKE") == "1"
@@ -203,29 +207,49 @@ def _sharded_burst(handle):
             - serve_load.executions_of(before))
 
 
+def _saturate(shards, jobs):
+    """One saturation row on a fresh server; the shards=2 one also
+    replays the burst.  Returns ``(row, burst_analyses)``."""
+    if jobs > 1:
+        # Spawn the replay pool up front, as shards spawn at start: a
+        # worker forked mid-run would inherit the in-process clients'
+        # sockets and keep their connections open past shutdown.
+        pool_mod.shared_pool().ensure_workers(jobs)
+    with tempfile.TemporaryDirectory(prefix="tf-serve-sat-") as cache:
+        handle = start_in_background(cache_dir=cache, jobs=jobs,
+                                     shards=shards)
+        try:
+            row = serve_load.run_saturation(
+                handle.url, WORKLOAD, SAT_THREADS,
+                jobs=SAT_JOBS, clients=SAT_CLIENTS,
+                warp_sizes=SAT_WIDTHS)
+            burst = _sharded_burst(handle) if shards == 2 else None
+        finally:
+            handle.close()
+    return row, burst
+
+
 def _measure_saturation():
-    """The (clients x shards) scaling curve plus the sharded burst."""
+    """The (clients x shards) scaling curve, the in-process jobs=2 row
+    sharding has to beat, and the sharded burst."""
     by_shards = {}
     burst_analyses = None
     for shards in SAT_SHARDS:
-        with tempfile.TemporaryDirectory(prefix="tf-serve-sat-") as cache:
-            handle = start_in_background(cache_dir=cache, jobs=1,
-                                         shards=shards)
-            try:
-                by_shards[str(shards)] = serve_load.run_saturation(
-                    handle.url, WORKLOAD, SAT_THREADS,
-                    jobs=SAT_JOBS, clients=SAT_CLIENTS,
-                    warp_sizes=SAT_WIDTHS)
-                if shards == 2:
-                    burst_analyses = _sharded_burst(handle)
-            finally:
-                handle.close()
+        by_shards[str(shards)], burst = _saturate(shards, jobs=1)
+        if shards == 2:
+            burst_analyses = burst
+    inline_jobs2, _burst = _saturate(0, jobs=2)
     base = by_shards["1"]["throughput_ips"]
     out = {
         "cores": os.cpu_count() or 1,
         "clients": SAT_CLIENTS,
         "jobs": SAT_JOBS,
         "shards": by_shards,
+        "inline_jobs2": inline_jobs2,
+        "shards2_vs_inline_jobs2": (
+            by_shards["2"]["throughput_ips"]
+            / inline_jobs2["throughput_ips"]
+            if inline_jobs2["throughput_ips"] else 0.0),
         "sharded_burst_analyses": burst_analyses,
     }
     for shards in SAT_SHARDS[1:]:
@@ -261,6 +285,10 @@ def test_serve_throughput(benchmark):
         suffix = f"  ({speedup:.2f}x)" if speedup is not None else ""
         lines.append(f"    shards={shards}: "
                      f"{cell['throughput_ips']:8.2f} cells/s{suffix}")
+    lines.append(f"    inline jobs=2: "
+                 f"{saturation['inline_jobs2']['throughput_ips']:7.2f} "
+                 f"cells/s  (shards=2 is "
+                 f"{saturation['shards2_vs_inline_jobs2']:.2f}x)")
     lines.append(f"  sharded burst:  {BURST_CLIENTS} clients -> "
                  f"{saturation['sharded_burst_analyses']} analysis "
                  f"(shards=2)")

@@ -743,11 +743,16 @@ def _cmd_serve(args) -> int:
     from . import serve as serve_mod
 
     session = _session_from_args(args)
-    server = serve_mod.AnalysisServer(
-        session=session, host=args.host, port=args.port,
-        queue_depth=args.queue_depth or serve_mod.DEFAULT_QUEUE_DEPTH,
-        shards=args.shards,
-    )
+    try:
+        server = serve_mod.AnalysisServer(
+            session=session, host=args.host, port=args.port,
+            queue_depth=args.queue_depth or serve_mod.DEFAULT_QUEUE_DEPTH,
+            shards=args.shards,
+        )
+    except ValueError as exc:  # e.g. --shards with --jobs > 1
+        session.close()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return serve_mod.run_server(server)
     finally:

@@ -43,14 +43,18 @@ site                where it fires
                     backoff, then raises a typed
                     :class:`~repro.errors.IndexCorruptError` (writes
                     degrade to a warning), never a wrong query answer
-``serve.shard``     inside a serve-layer shard worker
-                    (:mod:`repro.shards`), at cell receipt (hard
-                    ``os._exit`` kill); the dispatcher respawns the
-                    shard and re-runs the cell -- bit-identical bytes
-                    or a typed error, never a hang.  Check tokens are
-                    salted with the attempt index, so a rate-based
-                    kill that fires on the first attempt does not
-                    deterministically fire on the re-run
+``serve.shard``     inside a serve shard's pool worker
+                    (:mod:`repro.shards`), at the start of each cell.
+                    A ``kill`` loses the worker: the pool respawns it
+                    and the dispatcher re-runs the cell --
+                    bit-identical bytes, or a typed
+                    ``ShardCrashError`` after the retry budget, never
+                    a hang.  Any other kind is a cell error: the job
+                    fails with it after one attempt.  Check tokens are
+                    salted with the attempt index (``workload:wN#k``),
+                    so a rate-based kill that fires on the first
+                    attempt does not deterministically fire on the
+                    re-run
 ==================  ====================================================
 
 Faults are either *scheduled* (``at``/``count``: fire on the Nth hit of

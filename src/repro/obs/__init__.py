@@ -24,7 +24,7 @@ See ``docs/OBSERVABILITY.md`` for the telemetry model, the JSON schema
 with a worked example, and the profiling cookbook.
 """
 
-from .recorder import NULL_RECORDER, NullRecorder, Recorder
+from .recorder import NULL_RECORDER, NullRecorder, Recorder, StageRecorder
 from .telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     SpanNode,
@@ -37,6 +37,7 @@ __all__ = [
     "NullRecorder",
     "Recorder",
     "SpanNode",
+    "StageRecorder",
     "Telemetry",
     "TelemetryError",
     "TELEMETRY_SCHEMA_VERSION",

@@ -24,7 +24,7 @@ to a serial run.
 from __future__ import annotations
 
 import time
-from typing import List
+from typing import Callable, List
 
 from .telemetry import SpanNode, Telemetry
 
@@ -155,4 +155,27 @@ class Recorder:
                 f"counters={len(self.counters)}>")
 
 
-__all__ = ["NULL_RECORDER", "NullRecorder", "Recorder"]
+class StageRecorder(Recorder):
+    """A :class:`Recorder` that reports every span entry to ``on_stage``.
+
+    Installed as a session's recorder for one job, it turns the
+    session's own ``obs.span("trace")`` instrumentation into a live
+    progress feed -- no second instrumentation layer.  The serving
+    layer passes the job's stage hook; a serve shard cell passes
+    :func:`repro.pool.report_progress`, so the stage names cross the
+    process boundary on the pool's pipe.
+    """
+
+    __slots__ = ("_on_stage",)
+
+    def __init__(self, on_stage: Callable[[str], None]) -> None:
+        super().__init__()
+        self._on_stage = on_stage
+
+    def span(self, name: str) -> _Span:
+        """Report ``name`` to ``on_stage``, then time it like a span."""
+        self._on_stage(name)
+        return super().span(name)
+
+
+__all__ = ["NULL_RECORDER", "NullRecorder", "Recorder", "StageRecorder"]

@@ -3,14 +3,17 @@
 Every way the pipeline runs work on other processes lives here, on one
 substrate:
 
-* the **persistent worker pool** (:class:`WorkerPool`): workers are
-  spawned once and reused across ``trace_many`` / replay / sweep calls,
-  health-checked before every batch, respawned on crashes, and shut
-  down cleanly at interpreter exit (or explicitly).  Tasks ship as
-  ``(callable, payload, fault_token)`` triples -- the callable is
-  pickled *by reference*, exactly like ``ProcessPoolExecutor.submit``,
-  so the parent's current module attributes (including monkeypatched
-  ones) decide what runs;
+* the **persistent worker pool** (:class:`WorkerPool`), the only code
+  that spawns, messages, times out and respawns worker processes:
+  workers are spawned once and reused across ``trace_many`` / replay /
+  sweep calls, health-checked before every batch, respawned on
+  crashes, and shut down cleanly at interpreter exit (or explicitly).
+  Tasks ship as ``(callable, payload, fault_token)`` triples -- the
+  callable is pickled *by reference*, exactly like
+  ``ProcessPoolExecutor.submit``, so the parent's current module
+  attributes (including monkeypatched ones) decide what runs.  Replay
+  runs on the process-wide :func:`shared_pool`; each serve shard
+  (:mod:`repro.shards`) is a one-worker pool of its own;
 
 * the **shared-memory column arena** (:class:`ColumnArena`): the
   packed columns of a whole :class:`~repro.tracer.events.TraceSet`
@@ -43,6 +46,20 @@ tables) are pushed once and cached per worker, and each worker keeps a
 signature-keyed warp-metrics memo that survives across calls
 (``benchmarks/test_perf_scale.py`` reports memo-hit repeats separately
 from arena-warm, memo-cold ones).
+
+Wire protocol (one duplex pipe per worker, one reply per request)::
+
+    parent -> worker   ("plan", FaultPlan|None)       re-arm fault plan
+                       ("attach", name, descriptors)  map a column arena
+                       ("detach", name)               unmap it
+                       ("put", key, obj) / ("del", key)  resident state
+                       ("task", fn, payload, token)   run one task
+                       ("ping",)                      health probe
+                       ("exit",)                      clean shutdown
+    worker -> parent   ("progress", value)            any number, while
+                                                      a task runs
+                       ("ok", value)                  the reply
+                       ("err", encoded_exc)           the request raised
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ import weakref
 from collections import OrderedDict, deque
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import faults
 from .errors import WorkerCrashError
@@ -341,9 +358,10 @@ def state_token(obj) -> str:
 
 
 class _WorkerContext:
-    """Per-worker resident state (arenas, pushed objects, warp memo)."""
+    """Per-worker resident state (pipe, arenas, pushed objects, memo)."""
 
-    def __init__(self) -> None:
+    def __init__(self, conn) -> None:
+        self.conn = conn
         self.arenas: Dict[str, tuple] = {}
         self.state: Dict[str, Any] = {}
         self.memo: Dict[tuple, Any] = {}
@@ -398,10 +416,25 @@ class _WorkerContext:
 _WORKER_CTX: Optional[_WorkerContext] = None
 
 
+def report_progress(value: Any) -> None:
+    """Task side: hand ``value`` to ``run_tasks``' ``on_progress`` callback.
+
+    Sent as a ``("progress", value)`` message ahead of the task's
+    reply; a no-op outside a pool worker.
+    """
+    ctx = _WORKER_CTX
+    if ctx is None:
+        return
+    try:
+        ctx.conn.send(("progress", value))
+    except (BrokenPipeError, OSError):
+        pass
+
+
 def _worker_main(conn) -> None:
     """The persistent worker loop: one reply per received message."""
     global _WORKER_CTX
-    ctx = _WorkerContext()
+    ctx = _WorkerContext(conn)
     _WORKER_CTX = ctx
     while True:
         try:
@@ -439,6 +472,8 @@ def _worker_main(conn) -> None:
             conn.send(reply)
         except (BrokenPipeError, OSError):
             break
+        except Exception as exc:  # the reply did not pickle
+            conn.send(("err", _encode_exc(exc)))
 
 
 def _shm_replay_shard(payload: tuple) -> tuple:
@@ -521,14 +556,6 @@ class _SlotLost(Exception):
     """Internal: the worker behind a slot died or desynced."""
 
 
-class _SetupFailed(Exception):
-    """Internal: a healthy worker failed batch setup retryably."""
-
-    def __init__(self, cause: BaseException) -> None:
-        super().__init__(str(cause))
-        self.cause = cause
-
-
 class WorkerPool:
     """A spawn-once, crash-respawning pool of persistent workers.
 
@@ -540,8 +567,8 @@ class WorkerPool:
     automatically after a respawn.
     """
 
-    def __init__(self, context=None) -> None:
-        self._mp = context or multiprocessing.get_context(start_method())
+    def __init__(self) -> None:
+        self._mp = multiprocessing.get_context(start_method())
         self._slots: List[_Slot] = []
         self._pending_detaches: List[str] = []
         self._in_batch = False
@@ -637,10 +664,15 @@ class WorkerPool:
             self._kill_slot(slot)
         self._slots = []
 
+    def workers(self) -> List[Tuple[int, bool]]:
+        """``(pid, alive)`` of every started worker, without a round trip."""
+        processes = [slot.process for slot in list(self._slots)]
+        return [(process.pid, process.is_alive())
+                for process in processes if process is not None]
+
     def workers_alive(self) -> int:
         """How many worker processes are currently alive (0..jobs)."""
-        return sum(1 for slot in self._slots
-                   if slot.process is not None and slot.process.is_alive())
+        return sum(1 for _pid, alive in self.workers() if alive)
 
     # -- arena bookkeeping ----------------------------------------------
 
@@ -678,7 +710,9 @@ class WorkerPool:
     def run_tasks(self, tasks: Sequence[tuple], *, jobs: Optional[int] = None,
                   stage_timeout: Optional[float] = None,
                   arenas: Sequence[ColumnArena] = (),
-                  state: Sequence[Tuple[str, Any]] = ()) -> List[Any]:
+                  state: Sequence[Tuple[str, Any]] = (),
+                  on_progress: Optional[Callable[[int, Any], None]] = None,
+                  ) -> List[Any]:
         """Run ``tasks = [(fn, payload, fault_token), ...]`` on the pool.
 
         Returns one result per task, in task order; a task whose worker
@@ -693,7 +727,10 @@ class WorkerPool:
         are pushed to each participating worker before its first task
         unless the worker already holds them; the active fault plan is
         re-broadcast every batch so worker-side sites stay
-        deterministic despite reuse.
+        deterministic despite reuse.  ``on_progress(task_index,
+        value)`` receives, in order, every value a running task sends
+        with :func:`report_progress` (on this thread, before the
+        task's result is consumed).
         """
         if self.closed:
             raise OSError("worker pool is closed")
@@ -717,14 +754,14 @@ class WorkerPool:
         self._in_batch = True
         try:
             self._run_batch(tasks, results, queues, plan, arenas, state,
-                            stage_timeout)
+                            stage_timeout, on_progress)
         finally:
             self._in_batch = False
             self._flush_detaches()
         return results
 
     def _run_batch(self, tasks, results, queues, plan, arenas, state,
-                   stage_timeout) -> None:
+                   stage_timeout, on_progress) -> None:
         inflight: Dict[_Slot, Tuple[int, Optional[float]]] = {}
         prepared: set = set()
         #: Task indices whose parent-side ``pool.result`` check already
@@ -792,10 +829,6 @@ class WorkerPool:
                         self._setup_slot(slot, plan, arenas, state,
                                          stage_timeout)
                         prepared.add(slot)
-                    except _SetupFailed:
-                        self.stats["task_failures"] += 1
-                        drop_queue(slot)
-                        return
                     except _SlotLost:
                         self.stats["worker_failures"] += 1
                         self._kill_slot(slot)
@@ -804,10 +837,11 @@ class WorkerPool:
                             return
                         continue
                     except Exception as exc:
-                        if faults.is_retryable(exc):
-                            drop_queue(slot)
-                            return
-                        abort(exc)
+                        if not faults.is_retryable(exc):
+                            abort(exc)
+                        self.stats["task_failures"] += 1
+                        drop_queue(slot)
+                        return
                 index = queues[slot][0]
                 fn, payload, token = tasks[index]
                 try:
@@ -827,19 +861,24 @@ class WorkerPool:
                 return
 
         def handle_reply(slot: _Slot) -> None:
-            index, _deadline = inflight.pop(slot)
-            if not consume_check(index):
-                # The worker's reply is (or will be) in the pipe unread;
-                # the slot cannot be reused without desyncing.
-                inflight[slot] = (index, None)
-                lose(slot)
-                return
+            index = inflight[slot][0]
             try:
                 status, value = slot.conn.recv()
             except (EOFError, OSError, pickle.UnpicklingError):
-                inflight[slot] = (index, None)
                 lose(slot)
                 return
+            if status == "progress":
+                if on_progress is not None:
+                    try:
+                        on_progress(index, value)
+                    except Exception as exc:
+                        abort(exc)
+                return
+            if not consume_check(index):
+                # An injected result timeout: the worker counts as hung.
+                lose(slot)
+                return
+            del inflight[slot]
             if status == "ok":
                 results[index] = value
                 self.stats["tasks"] += 1
@@ -914,10 +953,7 @@ class WorkerPool:
             raise _SlotLost("worker pipe failed during setup") from None
         if status == "ok":
             return value
-        exc = _decode_exc(value)
-        if faults.is_retryable(exc):
-            raise _SetupFailed(exc)
-        raise exc
+        raise _decode_exc(value)
 
     def ping(self, timeout: float = 5.0) -> List[int]:
         """Round-trip every live worker; returns their pids.
@@ -931,7 +967,7 @@ class WorkerPool:
                 continue
             try:
                 pid = self._request(slot, ("ping",), timeout)
-            except (_SlotLost, _SetupFailed):
+            except _SlotLost:
                 self._kill_slot(slot)
                 continue
             pids.append(pid)
@@ -1131,6 +1167,7 @@ __all__ = [
     "probe_info",
     "release_arena",
     "replay_warps_shared",
+    "report_progress",
     "shared_pool",
     "shm_supported",
     "shutdown",

@@ -36,13 +36,15 @@ The execution substrate has two modes:
 * ``shards=0`` (the default): one runner thread drives the server's
   own session, one job at a time -- parallelism lives *inside* a job,
   via the session's ``jobs`` knob and the shared worker pool.
-* ``shards=N``: a :class:`~repro.shards.ShardPool` of N crash-
-  respawning session worker **processes** over the shared artifact
-  store.  Jobs are split into per-warp-width **cells** dispatched to
-  the least-loaded shard, so independent jobs -- and the independent
-  widths of one sweep -- run concurrently.  Coalescing still happens
-  in this parent process (before routing), so it holds across shard
-  boundaries, and each completed sweep cell is streamed as a
+* ``shards=N``: a :class:`~repro.shards.ShardPool` of N
+  :mod:`repro.pool` worker **processes**, each with a ``jobs=1``
+  session over the shared artifact store (so ``shards >= 1`` rejects
+  a session with ``jobs > 1``).  Jobs are split into per-warp-width
+  **cells** dispatched to the least-loaded shard, so independent
+  jobs -- and the independent widths of one sweep -- run
+  concurrently.  Coalescing still happens in this parent process
+  (before routing), so it holds across shard boundaries, and each
+  completed sweep cell is streamed as a
   ``partial`` event on ``/v1/jobs/<id>/events`` the moment it
   finishes instead of one blob at job end.  Per-shard health (queue
   depth, in-flight fingerprints, coalesce hits) is reported under
@@ -113,7 +115,7 @@ from .index import history_regression, metric_direction, parse_counter_expr
 from .core.analyzer import AnalyzerConfig
 from .core.report import AnalysisReport
 from .errors import ReproError, StageTimeoutError
-from .obs import Recorder, Telemetry
+from .obs import StageRecorder, Telemetry
 from .optlevels import OPT_LEVELS
 from .session import OPT_BASE, AnalysisSession
 from .workloads import all_workloads, get_workload
@@ -531,23 +533,6 @@ class Job:
         return doc
 
 
-class _JobRecorder(Recorder):
-    """A :class:`Recorder` that mirrors stage entries into a job.
-
-    Installed as the session's recorder for the duration of one job,
-    so the session's own ``obs.span("trace")`` instrumentation doubles
-    as the server's progress feed -- no second instrumentation layer.
-    """
-
-    def __init__(self, job: Job) -> None:
-        super().__init__()
-        self._job = job
-
-    def span(self, name: str):
-        self._job.enter_stage(name)
-        return super().span(name)
-
-
 class ServerClosed(ServeError):
     """Submit received while the server is shutting down."""
 
@@ -577,10 +562,10 @@ class AnalysisServer:
         one at a time.  ``N >= 1`` spawns a
         :class:`~repro.shards.ShardPool` of N session worker
         processes over the same artifact store and dispatches
-        per-width cells across them (``--shards`` on the CLI).
-    cell_timeout:
-        Optional per-cell wall-clock bound (seconds) in sharded mode;
-        a cell past it counts as a shard crash and is re-run.
+        per-width cells across them (``--shards`` on the CLI).  The
+        shards analyse with ``jobs=1`` and this process's session
+        never analyses, so ``shards >= 1`` with a session of
+        ``jobs > 1`` raises ``ValueError``.
     session_kwargs:
         Forwarded to :class:`~repro.session.AnalysisSession` when no
         session is passed (``cache_dir``, ``jobs``, ``recorder``,
@@ -601,8 +586,15 @@ class AnalysisServer:
     def __init__(self, session: Optional[AnalysisSession] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 shards: int = 0, cell_timeout: Optional[float] = None,
-                 **session_kwargs: Any) -> None:
+                 shards: int = 0, **session_kwargs: Any) -> None:
+        self.shards = max(0, int(shards))
+        jobs = (session.jobs if session is not None
+                else int(session_kwargs.get("jobs", 1)))
+        if self.shards and jobs > 1:
+            raise ValueError(
+                f"shards={self.shards} cannot be combined with jobs={jobs}: "
+                "shard sessions analyse with jobs=1 and the serving "
+                "session never analyses (drop --jobs or --shards)")
         self._owns_session = session is None
         if session is None:
             session = AnalysisSession(**session_kwargs)
@@ -611,8 +603,6 @@ class AnalysisServer:
         self.host = host
         self.port = port
         self.queue_depth = max(1, int(queue_depth))
-        self.shards = max(0, int(shards))
-        self.cell_timeout = cell_timeout
         self.started_at: Optional[float] = None
         self.closed = False
         self._jobs: "Dict[str, Job]" = {}
@@ -654,9 +644,11 @@ class AnalysisServer:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
         if self.shards:
-            self._shard_pool = shards_mod.ShardPool(
-                self.shards, self._shard_config(),
-                cell_timeout=self.cell_timeout)
+            store = self._session.store
+            self._shard_pool = shards_mod.ShardPool(self.shards, {
+                "cache_dir": store.root if store is not None else None,
+                "stage_timeout": self._session.stage_timeout,
+            })
             self._dispatch_gate = asyncio.Event()
             await self._loop.run_in_executor(None, self._shard_pool.start)
         self._server = await asyncio.start_server(
@@ -667,16 +659,6 @@ class AnalysisServer:
         self._runner_task = self._loop.create_task(
             self._runner_sharded() if self.shards else self._runner())
         return self.host, self.port
-
-    def _shard_config(self) -> Dict[str, Any]:
-        """Session kwargs for each shard, derived from our session."""
-        session = self._session
-        store = session.store
-        return {
-            "cache_dir": store.root if store is not None else None,
-            "jobs": session.jobs,
-            "stage_timeout": session.stage_timeout,
-        }
 
     async def stop(self) -> None:
         """Stop accepting, cancel the runner, release the executors.
@@ -735,9 +717,8 @@ class AnalysisServer:
         """
         job.mark_running()
         session = self._session
-        recorder = _JobRecorder(job)
         previous = session.obs
-        session.obs = recorder
+        session.obs = StageRecorder(job.enter_stage)
         try:
             spec = job.spec
             for width in spec.warp_sizes:

@@ -191,6 +191,12 @@ def _sleepy(payload):
     return payload
 
 
+def _chatty(payload):
+    for step in range(payload):
+        pool_mod.report_progress(("step", step))
+    return ("done", payload)
+
+
 @pytest.mark.usefixtures("quiet_faults")
 class TestWorkerPool:
     def test_workers_are_reused_across_batches(self):
@@ -247,6 +253,33 @@ class TestWorkerPool:
         assert isinstance(excinfo.value.__cause__,
                           pool_mod.RemoteTraceback)
         assert "_boom" in str(excinfo.value.__cause__)
+
+    def test_progress_reaches_the_callback_in_order(self):
+        pool = _fresh_pool()
+        seen = []
+        out = pool.run_tasks(
+            [(_chatty, 3, "t0")], jobs=1,
+            on_progress=lambda index, value: seen.append((index, value)))
+        assert out == [("done", 3)]
+        assert seen == [(0, ("step", 0)), (0, ("step", 1)),
+                        (0, ("step", 2))]
+        # Progress messages never consume the task's pool.result
+        # check: each task is checked exactly once, and a fired check
+        # still costs only its own task.
+        plan = FaultPlan([FaultSpec(site="pool.result", kind="timeout",
+                                    match="b")])
+        seen.clear()
+        with faults.injected(plan):
+            out = pool.run_tasks(
+                [(_chatty, 4, "a"), (_chatty, 2, "b")], jobs=2,
+                on_progress=lambda index, value: seen.append(
+                    (index, value)))
+        assert out[0] == ("done", 4) and out[1] is None
+        assert {key: hits for key, hits in plan.hits.items()
+                if key[0] == "pool.result"} == {
+            ("pool.result", "a"): 1, ("pool.result", "b"): 1}
+        assert [value for index, value in seen if index == 0] == [
+            ("step", step) for step in range(4)]
 
     def test_close_terminates_workers(self):
         pool = _fresh_pool()

@@ -28,7 +28,8 @@ import pytest
 
 from repro import faults
 from repro.artifacts import KIND_REPORT, ArtifactStore
-from repro.serve import start_in_background
+from repro.serve import AnalysisServer, start_in_background
+from repro.session import AnalysisSession
 from repro.shards import (
     MAX_CELL_ATTEMPTS,
     ShardCrashError,
@@ -90,6 +91,9 @@ class TestShardParity:
             _status, doc = _post(handle.url, "/v1/sweep", SWEEP)
             cold = _wait(handle.url, doc["job_id"])
             assert cold["status"] == "done"
+            # The shards stream their live stage progress to the job.
+            assert {s["stage"] for s in cold["stages"]} >= {
+                "build", "trace", "prepare", "replay"}
             _status, report = _get(
                 handle.url, f"/v1/jobs/{doc['job_id']}/report")
             assert report["reports"] == baseline["reports"]
@@ -284,6 +288,32 @@ class TestShardFaults:
             faults.reset()
             handle.close()
 
+    def test_typed_cell_error_fails_once_without_respawn(self, tmp_path):
+        handle = start_in_background(
+            cache_dir=str(tmp_path / "cache"), shards=2)
+        try:
+            # Only attempt #1 is faulted: were the retryable timeout
+            # treated as a lost worker, attempt #2 would succeed.
+            faults.install(faults.FaultPlan([
+                faults.FaultSpec(site="serve.shard", kind="timeout",
+                                 match=f"{WORKLOAD}:w8#1"),
+            ]))
+            _status, doc = _post(handle.url, "/v1/sweep", SWEEP)
+            failed = _wait(handle.url, doc["job_id"], timeout=120.0)
+            assert failed["status"] == "failed"
+            assert failed["error"]["type"] == "StageTimeoutError"
+            assert failed["error"]["site"] == "serve.shard"
+            status, body = _get(handle.url,
+                                f"/v1/jobs/{doc['job_id']}/report")
+            assert status == 504
+            assert body["error"]["site"] == "serve.shard"
+            _status, health = _get(handle.url, "/v1/health")
+            assert sum(row["respawns"]
+                       for row in health["shards"]["detail"]) == 0
+        finally:
+            faults.reset()
+            handle.close()
+
     def test_server_recovers_after_the_fault_storm(self, tmp_path):
         handle = start_in_background(
             cache_dir=str(tmp_path / "cache"), shards=2)
@@ -360,6 +390,51 @@ class TestShardPoolDirect:
             assert done.wait(60.0)
             assert out["skipped"] is True
             assert out["payload"] is None
+        finally:
+            pool.close()
+
+
+class TestJobsWithShards:
+    def test_server_rejects_shards_with_parallel_session(self, tmp_path):
+        with pytest.raises(ValueError, match="shards=2.*jobs=2"):
+            AnalysisServer(cache_dir=str(tmp_path / "cache"), jobs=2,
+                           shards=2)
+        with pytest.raises(ValueError, match="shards=1.*jobs=2"):
+            AnalysisServer(session=AnalysisSession(jobs=2), shards=1)
+
+    def test_serve_cli_exits_2_before_binding(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", "--no-cache",
+                     "--shards", "2", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "shards=2" in captured.err and "jobs=2" in captured.err
+        assert "SERVE_URL" not in captured.out
+
+    def test_shard_sessions_replay_multi_warp_cells_serially(
+            self, tmp_path):
+        # A shard worker is a daemonic pool worker and cannot start a
+        # replay pool: its session runs jobs=1 whatever the config says.
+        pool = ShardPool(1, {"cache_dir": str(tmp_path / "cache"),
+                             "jobs": 2})
+        pool.start()
+        try:
+            done = threading.Event()
+            out = {}
+
+            def complete(payload, exc, shard, skipped):
+                out.update(payload=payload, exc=exc)
+                done.set()
+
+            pool.submit({"workload": WORKLOAD, "n_threads": 64,
+                         "seed": 0, "opt_level": "O1", "warp_size": 8,
+                         "batching": "linear", "emulate_locks": False,
+                         "lock_reconvergence": "unlock",
+                         "token": "multi:w8"},
+                        on_complete=complete)
+            assert done.wait(60.0)
+            assert out["exc"] is None, out["exc"]
+            assert out["payload"]["report"].warp_size == 8
         finally:
             pool.close()
 
