@@ -93,13 +93,7 @@ class _Frame:
 
 
 def _scan_thread(trace: ThreadTrace, dcfgs: DCFGSet) -> None:
-    packed = trace.packed_only()
-    if packed is not None:
-        # Loaded traces are still columnar; scan the packed columns
-        # directly rather than materializing token tuples just to read
-        # their kinds and addresses.
-        _scan_packed_thread(trace.root, packed, dcfgs)
-        return
+    """The oracle scan: one thread's token tuples, frame by frame."""
     stack = [_Frame(dcfgs.get(trace.root))]
     seen_block = [False]
     for token in trace.tokens:
@@ -182,7 +176,9 @@ def _scan_packed_thread(root: str, packed, dcfgs: DCFGSet) -> None:
 def build_dcfgs(traces: TraceSet, dedupe: bool = False) -> DCFGSet:
     """Build merged per-function DCFGs from all logical-thread traces.
 
-    ``dedupe=True`` (used by the analyzer) skips re-scanning
+    ``dedupe=False`` is the reference oracle: it scans every thread's
+    token tuples.  ``dedupe=True`` (used by the analyzer) scans the
+    packed columns and skips re-scanning
     threads whose control-flow columns -- root, names, kinds, arg --
     exactly match an already-scanned thread's: a duplicate scan adds no
     edges and no entries, so skipping it leaves every graph

@@ -9,7 +9,8 @@ from ..isa import classes
 from ..program.ir import Program
 from ..simulator.cache import Cache
 from ..simulator.config import CacheConfig
-from ..tracer.events import TOK_BLOCK, TraceSet
+from ..tracer.events import TraceSet
+from ..tracer.packed import KIND_B
 
 
 def _default_cpi() -> Dict[str, float]:
@@ -94,14 +95,18 @@ class CPUSimulator:
             core = trace.cpu_tid % config.cores
             l1, l2 = l1s[core], l2s[core]
             cycles = 0.0
-            for token in trace.tokens:
-                if token[0] != TOK_BLOCK:
+            packed = trace.packed()
+            packed.ensure_verified()
+            arg, nins, moff, maddr = (
+                packed.arg, packed.nins, packed.moff, packed.maddr)
+            for i, kind in enumerate(packed.kinds):
+                if kind != KIND_B:
                     continue
-                block = program.block_by_addr[token[1]]
-                total_instr += token[2]
+                block = program.block_by_addr[arg[i]]
+                total_instr += nins[i]
                 for instr in block.instructions:
                     cycles += config.cpi.get(instr.iclass, 1.0)
-                for _slot, _is_store, addr, _size in token[3]:
+                for addr in maddr[moff[i]:moff[i + 1]]:
                     if l1.access(addr):
                         cycles += config.l1.hit_latency
                     elif l2.access(addr):

@@ -33,10 +33,11 @@ site                where it fires
 ``trace.load``      the raw trace stream inside
                     :func:`repro.tracer.io.load_traces`
 ``trace.pack``      the columnar buffers of a freshly built
-                    :class:`~repro.tracer.packed.PackedTrace` (bit-flip
-                    / truncation -- caught by the packed content
-                    signature before replay or memoization can consume
-                    the buffers)
+                    :class:`~repro.tracer.packed.PackedTrace` -- for a
+                    recorded trace, its first ``packed()`` call, never
+                    record time (bit-flip / truncation -- caught by the
+                    packed content signature before replay or
+                    memoization can consume the buffers)
 ``index.db``        before every sqlite operation of the result index
                     (:mod:`repro.index`) -- transient ``OSError``,
                     like a locked database; the index retries with

@@ -1,11 +1,16 @@
-"""Trace containers and token formats.
+"""Trace containers and the token grammar.
 
 A *logical thread* follows the paper's correlation methodology: one trace
 per dynamic invocation of a traced worker function (one OpenMP iteration /
 one Pthread worker call), so CPU scheduling does not perturb the
 CPU-vs-GPU thread mapping.
 
-Token stream grammar (one stream per logical thread)::
+A trace lives in memory only as packed columns
+(:mod:`repro.tracer.packed`): the recorder writes them as the machine
+runs.  The token tuple stream below is the reference oracle's view of
+the same content -- the tuple replayer, the oracle DCFG scan, the XAPP
+baseline and tests read it, and :attr:`ThreadTrace.tokens` materializes
+it from the columns.  One stream per logical thread::
 
     ("B", block_addr, n_instructions, mems)   executed basic block
     ("C", callee_name)                        call into callee (traced)
@@ -23,94 +28,80 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-TOK_BLOCK = "B"
-TOK_CALL = "C"
-TOK_RET = "R"
-TOK_LOCK = "L"
-TOK_UNLOCK = "U"
+from .packed import (
+    TOK_BLOCK,
+    TOK_CALL,
+    TOK_LOCK,
+    TOK_RET,
+    TOK_UNLOCK,
+    ColumnWriter,
+    PackedTrace,
+)
+
+__all__ = ["TOK_BLOCK", "TOK_CALL", "TOK_LOCK", "TOK_RET", "TOK_UNLOCK",
+           "ThreadTrace", "TraceSet"]
 
 
 class ThreadTrace:
     """The dynamic trace of one logical (SIMT) thread.
 
-    The token stream has two interchangeable representations: the tuple
-    list (:attr:`tokens`, what the recorder appends to) and the columnar
-    :class:`~repro.tracer.packed.PackedTrace` (:meth:`packed`, what the
-    replayer iterates).  Either side is produced lazily from the other --
-    traces loaded from disk start packed and only materialize tuples if a
-    consumer asks for them.  Both the packed form and the
-    :attr:`n_instructions` total are cached keyed on the token-list
-    length, so recorder appends (the only in-tree mutation) invalidate
-    them automatically; ``trace.tokens = [...]`` assignment resets every
-    cache.
+    The content is the eight pristine packed columns.  A recorded trace
+    holds them in :attr:`columns`, the :class:`ColumnWriter` the
+    recorder appends to; the first :meth:`packed` call wraps them in a
+    :class:`PackedTrace` (derived columns, signature, the ``trace.pack``
+    fault site) and drops the writer.  Traces loaded from disk or shared
+    memory arrive packed (:meth:`attach_packed`).  :attr:`tokens` is a
+    tuple view for the oracle, materialized once from the pack;
+    assigning ``trace.tokens = [...]`` packs the list as the new
+    content.
     """
 
     __slots__ = ("index", "cpu_tid", "root", "skipped", "closed",
-                 "_tokens", "_packed", "_ncache")
+                 "columns", "_packed", "_tokens")
 
     def __init__(self, index: int, cpu_tid: int, root: str) -> None:
         self.index = index
         self.cpu_tid = cpu_tid
         self.root = root
-        self._tokens: List[tuple] = []
+        #: The columns while they are recorded; None once packed.
+        self.columns = ColumnWriter()
         self._packed = None
-        self._ncache = None
+        self._tokens = None
         self.skipped: Dict[str, int] = {}
         self.closed = False
 
     @property
     def tokens(self) -> List[tuple]:
-        """Token tuple stream (materialized from packed form on demand)."""
-        toks = self._tokens
-        if toks is None:
-            toks = self._packed.to_tokens()
-            self._tokens = toks
-        return toks
+        """Token tuple stream, materialized once from the pack.
+
+        A view: edits to the list never reach the columns; assign a new
+        list to change the content.
+        """
+        if self._tokens is None:
+            self._tokens = self.packed().to_tokens()
+        return self._tokens
 
     @tokens.setter
     def tokens(self, value: List[tuple]) -> None:
-        self._tokens = value
-        self._packed = None
-        self._ncache = None
+        self.attach_packed(PackedTrace.from_tokens(value))
 
     @property
     def n_tokens(self) -> int:
-        """Token count without materializing tuples."""
-        toks = self._tokens
-        if toks is None:
-            return self._packed.n_tokens
-        return len(toks)
+        """Token count without packing or materializing tuples."""
+        return len((self.columns or self._packed).kinds)
 
-    def packed(self):
-        """The columnar form of this trace (packed once, then cached).
+    def packed(self) -> PackedTrace:
+        """The :class:`PackedTrace` (built on the first call, then cached)."""
+        if self._packed is None:
+            self._packed = self.columns.pack()
+            self.columns = None
+        return self._packed
 
-        The cache is keyed on the token-list length: appending tokens
-        (what the recorder does) produces a fresh pack on next use.
-        """
-        packed = self._packed
-        toks = self._tokens
-        if packed is not None and (toks is None
-                                   or packed.n_tokens == len(toks)):
-            return packed
-        from .packed import PackedTrace
-
-        packed = PackedTrace.from_tokens(toks)
+    def attach_packed(self, packed: PackedTrace) -> None:
+        """Adopt ``packed`` as the trace content."""
         self._packed = packed
-        return packed
-
-    def attach_packed(self, packed) -> None:
-        """Adopt ``packed`` as the trace content (tuples become lazy)."""
-        self._packed = packed
+        self.columns = None
         self._tokens = None
-        self._ncache = None
-
-    def packed_only(self):
-        """The packed form if tuples were never materialized, else None.
-
-        Lets columnar-native consumers (the DCFG scan) skip tuple
-        round-trips for traces that came off disk already packed.
-        """
-        return self._packed if self._tokens is None else None
 
     @property
     def signature(self) -> str:
@@ -121,21 +112,10 @@ class ThreadTrace:
 
     @property
     def n_instructions(self) -> int:
-        """Traced dynamic instruction count (cached; O(1) when packed)."""
-        toks = self._tokens
-        if toks is None:
-            return self._packed.total_instructions
-        cache = self._ncache
-        n = len(toks)
-        if cache is not None and cache[0] == n:
-            return cache[1]
-        packed = self._packed
-        if packed is not None and packed.n_tokens == n:
-            total = packed.total_instructions
-        else:
-            total = sum(t[2] for t in toks if t[0] == TOK_BLOCK)
-        self._ncache = (n, total)
-        return total
+        """Traced dynamic instruction count (never forces a pack)."""
+        if self.columns is not None:
+            return sum(self.columns.nins)
+        return self._packed.total_instructions
 
     @property
     def n_skipped(self) -> int:

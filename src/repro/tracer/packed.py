@@ -1,7 +1,7 @@
 """Columnar packed trace representation.
 
-A :class:`PackedTrace` lowers one :class:`~repro.tracer.events.ThreadTrace`
-token stream into flat ``array`` columns, one entry per token:
+A :class:`PackedTrace` holds one :class:`~repro.tracer.events.ThreadTrace`
+token stream as flat ``array`` columns, one entry per token:
 
 ====================  =======================================================
 column                contents
@@ -31,9 +31,13 @@ across lanes at C speed and consumes whole ``bext`` spans -- memory
 blocks included -- per accounting call.
 
 The eight pristine columns (:data:`PRISTINE_COLUMNS`, everything above
-except ``cumn``) are also the trace-file wire format: :meth:`column_bytes`
-encodes them little-endian and :meth:`from_columns` decodes and validates
-them (format v3 of :mod:`repro.tracer.io`).
+except ``cumn``) are the only in-memory form of a trace: the recorder
+appends to them through a :class:`ColumnWriter`, the one encoder, and
+the first :meth:`~repro.tracer.events.ThreadTrace.packed` call wraps
+them in a :class:`PackedTrace` that adds the derived columns.  They are
+also the trace-file wire format: :meth:`column_bytes` encodes them
+little-endian and :meth:`from_columns` decodes and validates them
+(format v3 of :mod:`repro.tracer.io`).
 
 Integrity: the signature is computed over the pristine buffers at pack
 time and :meth:`ensure_verified` re-hashes before first use, so any later
@@ -48,14 +52,22 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
-from operator import le
-from typing import Iterable, List, Sequence, Tuple
+from itertools import accumulate
+from operator import le, sub
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import TraceCorruptError
-from .events import TOK_BLOCK, TOK_CALL, TOK_LOCK, TOK_RET, TOK_UNLOCK
 
-#: Token kind codes, in column order.  ``CODE_KINDS[code]`` recovers the
-#: single-letter kind of the tuple grammar.
+#: Token kinds as letters of the tuple grammar (the oracle's view of a
+#: trace, see :mod:`repro.tracer.events`) ...
+TOK_BLOCK = "B"
+TOK_CALL = "C"
+TOK_RET = "R"
+TOK_LOCK = "L"
+TOK_UNLOCK = "U"
+
+#: ... and as codes of the ``kinds`` column.  ``CODE_KINDS[code]``
+#: recovers the letter.
 KIND_B = 0
 KIND_CALL = 1
 KIND_RET = 2
@@ -158,6 +170,102 @@ def _split_columns(blob, n_tokens: int, n_mems: int) -> List[array]:
     return columns
 
 
+class ColumnWriter:
+    """Appends tokens to the eight pristine columns of one trace.
+
+    The one encoder of trace events into columns: the recorder writes
+    through it while the machine runs, and
+    :meth:`PackedTrace.from_tokens` / :meth:`PackedTrace.from_records`
+    are loops over it.  ``moff`` holds each token's first memory
+    record; :meth:`pack` appends the closing total to a copy, so a
+    memory record costs no offset update.  The pack shares the other
+    buffers: write nothing after it.
+    """
+
+    __slots__ = ("kinds", "arg", "nins", "moff", "mslot", "mstore",
+                 "maddr", "msize", "names", "_name_index")
+
+    def __init__(self) -> None:
+        self.kinds = array("b")
+        self.arg = array("q")
+        self.nins = array("q")
+        self.moff = array("q")
+        self.mslot = array("q")
+        self.mstore = array("b")
+        self.maddr = array("q")
+        self.msize = array("q")
+        self.names: List[str] = []
+        self._name_index: Dict[str, int] = {}
+
+    def token(self, kind: int, arg: int, nins: int = 0) -> None:
+        """Append a token without memory records yet: ``KIND_B`` with
+        its block address and instruction count, ``KIND_RET`` with 0,
+        ``KIND_LOCK``/``KIND_UNLOCK`` with the lock address."""
+        self.kinds.append(kind)
+        self.arg.append(arg)
+        self.nins.append(nins)
+        self.moff.append(len(self.mslot))
+
+    def mem(self, slot: int, is_store, addr: int, size: int) -> None:
+        """Append a memory record to the last token (a block)."""
+        self.mslot.append(slot)
+        self.mstore.append(1 if is_store else 0)
+        self.maddr.append(addr)
+        self.msize.append(size)
+
+    def call(self, callee: str) -> None:
+        """Append a call token, interning ``callee`` into :attr:`names`."""
+        index = self._name_index.get(callee)
+        if index is None:
+            index = self._name_index[callee] = len(self.names)
+            self.names.append(callee)
+        self.token(KIND_CALL, index)
+
+    def pack(self) -> "PackedTrace":
+        """The :class:`PackedTrace` over these columns."""
+        moff = self.moff + array("q", (len(self.mslot),))
+        return PackedTrace(self.kinds, self.arg, self.nins, moff,
+                           self.mslot, self.mstore, self.maddr, self.msize,
+                           tuple(self.names))
+
+
+def _flat_mems(flat) -> Iterable[tuple]:
+    """The memory records of a v1/v2 file: one flat list per block."""
+    if len(flat) % 4:
+        raise ValueError("mem record array not a multiple of 4")
+    fields = iter(flat)
+    return zip(fields, fields, fields, fields)
+
+
+def _pack_stream(stream: Iterable, mems_of) -> "PackedTrace":
+    """Pack tokens in the tuple grammar through a :class:`ColumnWriter`.
+
+    ``mems_of`` turns a block token's memory field into its
+    ``(slot, is_store, addr, size)`` records.
+    """
+    writer = ColumnWriter()
+    for token in stream:
+        kind = token[0]
+        if kind == TOK_BLOCK:
+            writer.token(KIND_B, token[1], token[2])
+            for slot, is_store, addr, size in mems_of(token[3]):
+                writer.mem(slot, is_store, addr, size)
+        elif kind == TOK_CALL:
+            callee = token[1]
+            if not isinstance(callee, str):
+                raise TypeError(f"callee must be a string: {callee!r}")
+            writer.call(callee)
+        elif kind == TOK_RET:
+            writer.token(KIND_RET, 0)
+        elif kind == TOK_LOCK:
+            writer.token(KIND_LOCK, token[1])
+        elif kind == TOK_UNLOCK:
+            writer.token(KIND_UNLOCK, token[1])
+        else:
+            raise ValueError(f"unknown trace token kind {kind!r}")
+    return writer.pack()
+
+
 class PackedTrace:
     """One thread's token stream as flat columnar buffers."""
 
@@ -180,13 +288,7 @@ class PackedTrace:
         self.maddr = maddr
         self.msize = msize
         self.names = names
-        cumn = array("q", (0,))
-        total = 0
-        append = cumn.append
-        for n in nins:
-            total += n
-            append(total)
-        self.cumn = cumn
+        self.cumn = array("q", accumulate(nins, initial=0))
         self.mcnt, self.bext = self._block_extents()
         self.signature = self._digest()
         # Verified lazily: the first consumer (replay cursor, memo key)
@@ -202,9 +304,8 @@ class PackedTrace:
         maddr, msize = self.maddr, self.msize
         try:
             self.msegf = array("q", [a >> shift for a in maddr])
-            self.msegl = array(
-                "q", [(maddr[j] + msize[j] - 1) >> shift
-                      for j in range(len(maddr))])
+            self.msegl = array("q", [(a + size - 1) >> shift
+                                     for a, size in zip(maddr, msize)])
         except OverflowError:
             # Corrupted address/size columns can push the segment bounds
             # past int64; that is buffer corruption, not a packing bug.
@@ -217,53 +318,8 @@ class PackedTrace:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[tuple]) -> "PackedTrace":
-        """Pack a token tuple stream (the in-memory recorder format)."""
-        kinds = array("b")
-        arg = array("q")
-        nins = array("q")
-        moff = array("q", (0,))
-        mslot = array("q")
-        mstore = array("b")
-        maddr = array("q")
-        msize = array("q")
-        names: List[str] = []
-        name_idx = {}
-        for token in tokens:
-            kind = token[0]
-            if kind == TOK_BLOCK:
-                kinds.append(KIND_B)
-                arg.append(token[1])
-                nins.append(token[2])
-                for slot, is_store, addr, size in token[3]:
-                    mslot.append(slot)
-                    mstore.append(1 if is_store else 0)
-                    maddr.append(addr)
-                    msize.append(size)
-            elif kind == TOK_CALL:
-                callee = token[1]
-                idx = name_idx.setdefault(callee, len(names))
-                if idx == len(names):
-                    names.append(callee)
-                kinds.append(KIND_CALL)
-                arg.append(idx)
-                nins.append(0)
-            elif kind == TOK_RET:
-                kinds.append(KIND_RET)
-                arg.append(0)
-                nins.append(0)
-            elif kind == TOK_LOCK:
-                kinds.append(KIND_LOCK)
-                arg.append(token[1])
-                nins.append(0)
-            elif kind == TOK_UNLOCK:
-                kinds.append(KIND_UNLOCK)
-                arg.append(token[1])
-                nins.append(0)
-            else:
-                raise ValueError(f"unknown trace token kind {kind!r}")
-            moff.append(len(mslot))
-        return cls(kinds, arg, nins, moff, mslot, mstore, maddr, msize,
-                   tuple(names))
+        """Pack a token tuple stream (the oracle's view of a trace)."""
+        return _pack_stream(tokens, iter)
 
     @classmethod
     def from_records(cls, records: Iterable) -> "PackedTrace":
@@ -277,57 +333,7 @@ class PackedTrace:
         ``OverflowError``) so :func:`repro.tracer.io.load_traces` can map
         them onto :class:`~repro.errors.TraceCorruptError`.
         """
-        kinds = array("b")
-        arg = array("q")
-        nins = array("q")
-        moff = array("q", (0,))
-        mslot = array("q")
-        mstore = array("b")
-        maddr = array("q")
-        msize = array("q")
-        names: List[str] = []
-        name_idx = {}
-        for rec in records:
-            kind = rec[0]
-            if kind == TOK_BLOCK:
-                flat = rec[3]
-                if len(flat) % 4:
-                    raise ValueError("mem record array not a multiple of 4")
-                kinds.append(KIND_B)
-                arg.append(rec[1])
-                nins.append(rec[2])
-                for i in range(0, len(flat), 4):
-                    mslot.append(flat[i])
-                    mstore.append(1 if flat[i + 1] else 0)
-                    maddr.append(flat[i + 2])
-                    msize.append(flat[i + 3])
-            elif kind == TOK_CALL:
-                callee = rec[1]
-                if not isinstance(callee, str):
-                    raise TypeError(f"callee must be a string: {callee!r}")
-                idx = name_idx.setdefault(callee, len(names))
-                if idx == len(names):
-                    names.append(callee)
-                kinds.append(KIND_CALL)
-                arg.append(idx)
-                nins.append(0)
-            elif kind == TOK_RET:
-                kinds.append(KIND_RET)
-                arg.append(0)
-                nins.append(0)
-            elif kind == TOK_LOCK:
-                kinds.append(KIND_LOCK)
-                arg.append(rec[1])
-                nins.append(0)
-            elif kind == TOK_UNLOCK:
-                kinds.append(KIND_UNLOCK)
-                arg.append(rec[1])
-                nins.append(0)
-            else:
-                raise ValueError(f"unknown trace token kind {kind!r}")
-            moff.append(len(mslot))
-        return cls(kinds, arg, nins, moff, mslot, mstore, maddr, msize,
-                   tuple(names))
+        return _pack_stream(records, _flat_mems)
 
     @classmethod
     def from_columns(cls, blob, n_tokens: int, n_mems: int,
@@ -378,9 +384,7 @@ class PackedTrace:
             return (TOK_CALL, self.names[self.arg[i]])
         if kind == KIND_RET:
             return (TOK_RET,)
-        if kind == KIND_LOCK:
-            return (TOK_LOCK, self.arg[i])
-        return (TOK_UNLOCK, self.arg[i])
+        return (CODE_KINDS[kind], self.arg[i])  # lock or unlock
 
     def mems(self, i: int) -> tuple:
         """Memory records of token ``i`` as ``(slot, is_store, addr, size)``."""
@@ -489,12 +493,12 @@ class PackedTrace:
         consumes whole ``bext`` spans with one accounting call.
         """
         n = self.n_tokens
-        mcnt = array("q", bytes(8 * n))
+        moff = self.moff
+        mcnt = array("q", map(sub, moff[1:], moff[:-1]))
         bext = array("q", bytes(8 * n))
-        kinds, moff = self.kinds, self.moff
+        kinds = self.kinds
         run = 0
         for i in range(n - 1, -1, -1):
-            mcnt[i] = moff[i + 1] - moff[i]
             if kinds[i] == KIND_B:
                 run += 1
             else:

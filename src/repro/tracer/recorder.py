@@ -1,48 +1,41 @@
-"""The ThreadFuser tracer: machine instrumentation hooks -> token streams.
+"""The ThreadFuser tracer: machine instrumentation hooks -> packed columns.
 
 Plays the role of the paper's PIN tool: it observes basic-block executions,
 per-instruction memory accesses, call/return events and lock operations,
 splits each CPU thread's stream into one logical trace per invocation of a
 *root* (worker) function, and skip-counts lock spinning, I/O and
-explicitly excluded functions instead of tracing them.
+explicitly excluded functions instead of tracing them.  Each event is
+appended straight to the logical thread's packed columns through its
+:class:`~repro.tracer.packed.ColumnWriter`; nothing is packed here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from collections import defaultdict
+from typing import Dict, Iterable, Optional, Set
 
 from ..machine.memory import STACK_BASE, STACK_SIZE
 from ..program.ir import BasicBlock
-from .events import (
-    TOK_BLOCK,
-    TOK_CALL,
-    TOK_LOCK,
-    TOK_RET,
-    TOK_UNLOCK,
-    ThreadTrace,
-    TraceSet,
-)
+from .events import ThreadTrace, TraceSet
+from .packed import KIND_B, KIND_LOCK, KIND_RET, KIND_UNLOCK, ColumnWriter
 
 
 class _CpuThreadState:
     """Per CPU-thread tracing state."""
 
-    __slots__ = (
-        "trace", "tokens", "depth", "excluded_depth", "open_block",
-        "open_mems",
-    )
+    __slots__ = ("trace", "columns", "depth", "excluded_depth", "filtered")
 
     def __init__(self) -> None:
         self.trace: Optional[ThreadTrace] = None
-        #: The live trace's token list, bound once per logical thread so
-        #: the per-token hot path skips the ``ThreadTrace.tokens``
-        #: property (appends still invalidate the trace's packed/count
-        #: caches, which key on the list length).
-        self.tokens: Optional[List[tuple]] = None
+        #: The live trace's column writer, bound once per logical thread.
+        self.columns: Optional[ColumnWriter] = None
         self.depth = 0
         self.excluded_depth = 0
-        self.open_block: Optional[BasicBlock] = None
-        self.open_mems: List[tuple] = []
+        #: Instructions of the open block of an excluded function,
+        #: skip-counted as ``"filtered"`` when the block ends, so a skip
+        #: counted inside the block keeps its place in the ``skipped``
+        #: key order that trace files record.
+        self.filtered = 0
 
 
 class TraceRecorder:
@@ -66,48 +59,28 @@ class TraceRecorder:
         self.roots: Set[str] = set(roots)
         self.exclude: Set[str] = set(exclude)
         self.traces = TraceSet(workload=workload, program=program)
-        self._cpu: Dict[int, _CpuThreadState] = {}
+        self._cpu: Dict[int, _CpuThreadState] = defaultdict(
+            _CpuThreadState)
 
     # ------------------------------------------------------------------
 
-    def _state(self, tid: int) -> _CpuThreadState:
-        state = self._cpu.get(tid)
-        if state is None:
-            state = _CpuThreadState()
-            self._cpu[tid] = state
-        return state
-
-    def _flush_block(self, state: _CpuThreadState) -> None:
-        if state.open_block is None:
-            return
-        block = state.open_block
-        mems = tuple(state.open_mems)
-        state.open_block = None
-        state.open_mems = []
-        if state.excluded_depth > 0:
-            state.trace.add_skip(len(block.instructions), "filtered")
-        else:
-            state.tokens.append(
-                (TOK_BLOCK, block.addr, len(block.instructions), mems)
-            )
+    def _flush_filtered(self, state: _CpuThreadState) -> None:
+        if state.filtered:
+            state.trace.add_skip(state.filtered, "filtered")
+            state.filtered = 0
 
     def _begin(self, tid: int, root: str) -> None:
-        state = self._state(tid)
+        state = self._cpu[tid]
         state.trace = self.traces.new_thread(tid, root)
-        state.tokens = state.trace.tokens
+        state.columns = state.trace.columns
         state.depth = 1
         state.excluded_depth = 0
-        state.open_block = None
-        state.open_mems = []
 
     def _close(self, state: _CpuThreadState) -> None:
-        self._flush_block(state)
-        if state.trace is not None:
-            state.trace.closed = True
+        self._flush_filtered(state)
+        state.trace.closed = True
         state.trace = None
-        state.tokens = None
-        state.depth = 0
-        state.excluded_depth = 0
+        state.columns = None
 
     # ------------------------------------------------------------------
     # Machine hook interface.
@@ -117,20 +90,23 @@ class TraceRecorder:
             self._begin(tid, function_name)
 
     def on_thread_end(self, tid: int) -> None:
-        state = self._state(tid)
+        state = self._cpu[tid]
         if state.trace is not None:
             self._close(state)
 
     def on_block(self, tid: int, block: BasicBlock) -> None:
-        state = self._state(tid)
+        state = self._cpu[tid]
         if state.trace is None:
             return
-        self._flush_block(state)
-        state.open_block = block
+        self._flush_filtered(state)
+        if state.excluded_depth > 0:
+            state.filtered = len(block.instructions)
+        else:
+            state.columns.token(KIND_B, block.addr, len(block.instructions))
 
     def on_mem(self, tid: int, slot: int, is_store: bool, addr: int,
                size: int) -> None:
-        state = self._state(tid)
+        state = self._cpu[tid]
         if state.trace is None or state.excluded_depth > 0:
             return
         if addr >= STACK_BASE:
@@ -141,55 +117,50 @@ class TraceRecorder:
             # thread having its private stack").
             region = (addr - STACK_BASE) % STACK_SIZE
             addr = STACK_BASE + state.trace.index * STACK_SIZE + region
-        state.open_mems.append((slot, is_store, addr, size))
+        state.columns.mem(slot, is_store, addr, size)
 
     def on_call(self, tid: int, function_name: str) -> None:
-        state = self._state(tid)
+        state = self._cpu[tid]
         if state.trace is None:
             if function_name in self.roots:
                 self._begin(tid, function_name)
             return
-        self._flush_block(state)
+        self._flush_filtered(state)
         state.depth += 1
         if state.excluded_depth > 0 or function_name in self.exclude:
             state.excluded_depth += 1
         else:
-            state.tokens.append((TOK_CALL, function_name))
+            state.columns.call(function_name)
 
     def on_ret(self, tid: int) -> None:
-        state = self._state(tid)
+        state = self._cpu[tid]
         if state.trace is None:
             return
-        self._flush_block(state)
+        self._flush_filtered(state)
         state.depth -= 1
-        if state.excluded_depth > 0:
-            state.excluded_depth -= 1
-            if state.depth == 0:
-                self._close(state)
-            return
         if state.depth == 0:
             self._close(state)
+        elif state.excluded_depth > 0:
+            state.excluded_depth -= 1
         else:
-            state.tokens.append((TOK_RET,))
+            state.columns.token(KIND_RET, 0)
 
     def on_lock(self, tid: int, lock_addr: int) -> None:
-        state = self._state(tid)
-        if state.trace is None:
-            return
-        self._flush_block(state)
-        if state.excluded_depth == 0:
-            state.tokens.append((TOK_LOCK, lock_addr))
+        self._lock_event(tid, KIND_LOCK, lock_addr)
 
     def on_unlock(self, tid: int, lock_addr: int) -> None:
-        state = self._state(tid)
+        self._lock_event(tid, KIND_UNLOCK, lock_addr)
+
+    def _lock_event(self, tid: int, kind: int, lock_addr: int) -> None:
+        state = self._cpu[tid]
         if state.trace is None:
             return
-        self._flush_block(state)
+        self._flush_filtered(state)
         if state.excluded_depth == 0:
-            state.tokens.append((TOK_UNLOCK, lock_addr))
+            state.columns.token(kind, lock_addr)
 
     def on_skip(self, tid: int, count: int, reason: str) -> None:
-        state = self._state(tid)
+        state = self._cpu[tid]
         if state.trace is not None:
             state.trace.add_skip(count, reason)
         else:

@@ -194,6 +194,28 @@ class TestCPUSimulator:
         with pytest.raises(ValueError):
             CPUSimulator().run(traces)
 
+    #: Exact outputs of the default model (seed 7, 16 threads), pinned
+    #: so a change in how the model walks the traces cannot drift them.
+    PINNED = {
+        "memcached": (1063, 2572,
+                      [1063, 616, 475, 879, 624, 616, 379, 335]
+                      + [0] * 12,
+                      0.45714285714285713),
+        "md5": (1912, 16416,
+                [1912] + [1212] * 7 + [1352] + [1212] * 7 + [0] * 4,
+                0.9135802469135802),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_outputs(self, name):
+        from repro.workloads import get_workload, trace_instance
+
+        instance = get_workload(name).instantiate(16, seed=7)
+        traces, _machine = trace_instance(instance)
+        stats = CPUSimulator(xeon_e5_2630()).run(traces, instance.program)
+        assert (stats.cycles, stats.instructions, stats.per_core_cycles,
+                stats.l1_hit_rate) == self.PINNED[name]
+
 
 class TestSpeedupProjection:
     def test_uniform_workload_speeds_up_with_scale(self):

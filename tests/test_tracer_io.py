@@ -8,25 +8,29 @@ stream, even one whose checksum was recomputed to match, and keep
 reading the JSON-lines files of earlier releases.
 """
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import sys
 from array import array
+from unittest import mock
 
 import pytest
 
 from repro.artifacts import _canonical_pickle, serialize_traces
 from repro.core import analyze_traces
 from repro.errors import TraceCorruptError
-from repro.tracer import load_traces, save_traces
+from repro.session import AnalysisSession
+from repro.simulator import project_speedup
+from repro.tracer import PackedTrace, load_traces, save_traces
 from repro.tracer.packed import PRISTINE_COLUMNS, columns_nbytes
 from repro.workloads import get_workload, trace_instance
-from util import legacy_record
+from util import FRESH_TRACE_CASES, legacy_record, trace_fresh_case
 
-LEGACY_V2 = os.path.join(os.path.dirname(__file__), "data",
-                         "vectoradd8.v2.jsonl")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+LEGACY_V2 = os.path.join(DATA_DIR, "vectoradd8.v2.jsonl")
 
 WORKLOADS = ["vectoradd", "nn", "dsb_text", "btree", "memcached"]
 N_THREADS = 16
@@ -98,28 +102,70 @@ class TestRoundTripReplayMetrics:
                 == before.metrics.locks.contended_events)
 
 
-class TestPackedNativeLoading:
-    """Loaded traces stay columnar end to end.
+@contextlib.contextmanager
+def tuple_conversions_forbidden():
+    """Make every conversion between token tuples and columns raise.
 
-    :func:`load_traces` attaches a :class:`PackedTrace` per thread
-    without materializing token tuples; the whole analysis pipeline
-    (DCFG scan, warp formation, packed replay, memo signatures) must
-    run without ever flipping a thread out of packed-only mode.
+    Production records, stores, loads and replays traces as columns
+    only; the tuple view exists for the reference oracle.  Conversions
+    are also logged, so one swallowed by a fallback path still fails.
+    """
+    calls = []
+
+    def forbidden(name):
+        def convert(*_args, **_kwargs):
+            calls.append(name)
+            raise AssertionError(f"PackedTrace.{name} on a production path")
+        return convert
+
+    with mock.patch.object(PackedTrace, "from_tokens",
+                           forbidden("from_tokens")), \
+            mock.patch.object(PackedTrace, "from_records",
+                              forbidden("from_records")), \
+            mock.patch.object(PackedTrace, "to_tokens",
+                              forbidden("to_tokens")):
+        yield
+    assert not calls, calls
+
+
+class TestPackedNativeLoading:
+    """Traces stay columnar end to end.
+
+    The recorder writes columns, :func:`load_traces` attaches a
+    :class:`PackedTrace` per thread, and the whole pipeline (store,
+    DCFG scan, warp formation, replay, memo signatures, the timing
+    models) runs without converting to or from token tuples.
     """
 
     def test_loaded_traces_are_packed_only(self):
         _instance, traces = _trace("vectoradd")
-        loaded = _round_trip(traces)
+        with tuple_conversions_forbidden():
+            loaded = _round_trip(traces)
         for thread in loaded.threads:
-            assert thread.packed_only() is not None
             assert thread.n_tokens == len(thread.tokens)
 
     def test_analysis_never_materializes_tuples(self):
         _instance, traces = _trace("btree")
         loaded = _round_trip(traces)
-        analyze_traces(loaded, warp_size=8)
-        for thread in loaded.threads:
-            assert thread.packed_only() is not None, thread.index
+        with tuple_conversions_forbidden():
+            analyze_traces(loaded, warp_size=8)
+
+    def test_production_never_converts_tuples_and_columns(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        with tuple_conversions_forbidden():
+            cold = AnalysisSession(cache_dir=cache).analyze(
+                "dsb_post", n_threads=N_THREADS)
+            warm = AnalysisSession(cache_dir=cache)
+            traces = warm.trace("dsb_post", n_threads=N_THREADS)
+            assert warm.executions == 0
+            replayed = warm.replay(traces)
+            storeless = AnalysisSession().analyze(
+                "dsb_post", n_threads=N_THREADS)
+            instance = get_workload("memcached").instantiate(N_THREADS)
+            fresh, _machine = trace_instance(instance)
+            project_speedup(fresh, instance.program)
+        assert _canonical_pickle(replayed) == _canonical_pickle(cold) \
+            == _canonical_pickle(storeless)
 
     def test_signatures_survive_the_round_trip(self):
         _instance, traces = _trace("memcached")
@@ -132,9 +178,8 @@ class TestPackedNativeLoading:
         # artifact checksums do not depend on the representation.
         _instance, traces = _trace("vectoradd")
         loaded = _round_trip(traces)
-        assert serialize_traces(loaded) == serialize_traces(traces)
-        for thread in loaded.threads:
-            assert thread.packed_only() is not None
+        with tuple_conversions_forbidden():
+            assert serialize_traces(loaded) == serialize_traces(traces)
 
 
 class TestSerializationDeterminism:
@@ -342,6 +387,20 @@ class TestStructuralValidation:
             load_traces(io.BytesIO(broken))
         assert excinfo.value.site == "trace.load"
         assert "checksum" not in str(excinfo.value)
+
+
+class TestFreshTraceBytes:
+    """Recording straight into columns writes the bytes that recording
+    tuples and packing them wrote (``tests/data/fresh_<case>.v3.trace``,
+    saved by an earlier release's tuple recorder)."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("case", FRESH_TRACE_CASES)
+    def test_fresh_traces_serialize_to_committed_bytes(self, case, engine):
+        path = os.path.join(DATA_DIR, f"fresh_{case}.v3.trace")
+        with open(path, "rb") as fp:
+            expected = fp.read()
+        assert serialize_traces(trace_fresh_case(case, engine)) == expected
 
 
 class TestLegacyFormats:

@@ -182,47 +182,26 @@ class TestThreadTraceCaching:
         expected = sum(t[2] for t in SAMPLE_TOKENS if t[0] == TOK_BLOCK)
         assert trace.n_instructions == expected
 
-    def test_n_instructions_is_cached(self):
-        trace = self._trace()
-        first = trace.n_instructions
-        assert trace._ncache == (len(SAMPLE_TOKENS), first)
-        assert trace.n_instructions == first
-
-    def test_append_invalidates_the_cache(self):
-        trace = self._trace()
-        before = trace.n_instructions
-        trace.tokens.append((TOK_BLOCK, 0x900, 7, ()))
-        assert trace.n_instructions == before + 7
-
     def test_assignment_resets_every_cache(self):
         trace = self._trace()
         trace.packed()
+        trace.tokens
         trace.n_instructions
         trace.tokens = [(TOK_BLOCK, 0x10, 2, ())]
-        assert trace._packed is None
-        assert trace._ncache is None
         assert trace.n_instructions == 2
-
-    def test_packed_cache_keyed_on_token_count(self):
-        trace = self._trace()
-        first = trace.packed()
-        assert trace.packed() is first
-        trace.tokens.append((TOK_RET,))
-        second = trace.packed()
-        assert second is not first
-        assert second.n_tokens == first.n_tokens + 1
+        assert trace.packed().to_tokens() == [(TOK_BLOCK, 0x10, 2, ())]
+        assert trace.tokens == [(TOK_BLOCK, 0x10, 2, ())]
 
     def test_packed_native_trace_stays_columnar(self):
         packed = PackedTrace.from_tokens(SAMPLE_TOKENS)
         trace = ThreadTrace(0, 100, "worker")
         trace.attach_packed(packed)
-        assert trace.packed_only() is packed
+        assert trace.packed() is packed
         assert trace.n_tokens == packed.n_tokens
         assert trace.n_instructions == packed.total_instructions
-        # Materializing tuples flips it out of packed-only mode.
+        # The tuple view is materialized from the pack, never replaces it.
         assert trace.tokens == SAMPLE_TOKENS
-        assert trace.packed_only() is None
-
+        assert trace.packed() is packed
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -149,3 +149,31 @@ def build_lock_program(shared_lock=True):
         f.unlock(laddr)
         f.ret(v)
     return b.build(), lock_area.value, counter.value
+
+
+#: Programs whose fresh traces must serialize to the committed bytes in
+#: ``tests/data/fresh_<case>.v3.trace`` (written by the tuple recorder of
+#: an earlier release): locks, calls and I/O skips; contended-lock spin
+#: skips; an excluded callee's filtered skips.
+FRESH_TRACE_CASES = ("dsb_post8", "spin_lock8", "filtered_call4")
+
+
+def trace_fresh_case(case, engine):
+    """Trace one of :data:`FRESH_TRACE_CASES` on machine ``engine``."""
+    if case == "dsb_post8":
+        from repro.workloads import get_workload, trace_instance
+
+        instance = get_workload("dsb_post").instantiate(8, seed=7)
+        traces, _machine = trace_instance(instance, engine=engine)
+    elif case == "spin_lock8":
+        program, _lock, _counter = build_lock_program(shared_lock=True)
+        traces, _machine = run_traced(
+            program, [("worker", [t], None) for t in range(8)],
+            ["worker"], quantum=2, spin_cost=10, engine=engine)
+    elif case == "filtered_call4":
+        traces, _machine = run_traced(
+            build_call_program(), [("worker", [t], None) for t in range(4)],
+            ["worker"], exclude=["square"], engine=engine)
+    else:
+        raise KeyError(case)
+    return traces
