@@ -61,7 +61,6 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import serve_load  # noqa: E402  (tools/serve_load.py)
 
-from repro import pool as pool_mod  # noqa: E402
 from repro.serve import start_in_background  # noqa: E402
 
 SMOKE = os.environ.get("THREADFUSER_PERF_SMOKE") == "1"
@@ -210,11 +209,6 @@ def _sharded_burst(handle):
 def _saturate(shards, jobs):
     """One saturation row on a fresh server; the shards=2 one also
     replays the burst.  Returns ``(row, burst_analyses)``."""
-    if jobs > 1:
-        # Spawn the replay pool up front, as shards spawn at start: a
-        # worker forked mid-run would inherit the in-process clients'
-        # sockets and keep their connections open past shutdown.
-        pool_mod.shared_pool().ensure_workers(jobs)
     with tempfile.TemporaryDirectory(prefix="tf-serve-sat-") as cache:
         handle = start_in_background(cache_dir=cache, jobs=jobs,
                                      shards=shards)

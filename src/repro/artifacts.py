@@ -43,14 +43,14 @@ cache info`` reports quarantined objects; ``cache clear --quarantined``
 purges them.  Transient ``OSError`` on the raw file operations is
 retried with exponential backoff (see :mod:`repro.faults`).
 
-Every mutation -- put, quarantine, clear -- additionally notifies the
-store's registered listeners, which is how the sqlite result index
-(:mod:`repro.index`) stays consistent with the store incrementally:
-the :attr:`ArtifactStore.index` handle is created lazily on first use,
-attaches itself as a listener, and backfills from the existing entries
-when its database file does not exist yet.  Listener failures never
-fail a store operation (the index degrades to a warning and is
-restored by ``threadfuser index rebuild``).
+Every mutation -- put, quarantine, clear -- is also handed to the
+sqlite result index (:mod:`repro.index`), which is how it stays
+consistent with the store incrementally: the :attr:`ArtifactStore.index`
+handle is created lazily by the first put (or the first query), and
+backfills from the existing entries when its database file does not
+exist yet.  Index failures never fail a store operation (the index
+degrades to a warning and is restored by ``threadfuser index
+rebuild``).
 """
 
 from __future__ import annotations
@@ -182,7 +182,6 @@ class ArtifactStore:
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(os.path.expanduser(root))
         self.stats = CacheStats()
-        self._listeners: List[Any] = []
         self._index: Optional[Any] = None
         os.makedirs(os.path.join(self.root, "objects"), exist_ok=True)
         marker = os.path.join(self.root, "store.json")
@@ -192,41 +191,19 @@ class ArtifactStore:
                 json.dumps({"schema": SCHEMA_VERSION}).encode() + b"\n",
             )
 
-    # -- mutation listeners (the result index's feed) --------------------
-
-    def add_listener(self, listener: Any) -> None:
-        """Register a mutation callback.
-
-        ``listener(event, kind=..., key=..., fields=..., data=...)`` is
-        invoked after every successful ``put`` (with the fingerprint
-        fields and payload bytes), ``remove`` (quarantine), and
-        ``clear``.  Listeners must not raise for transient problems of
-        their own -- the store treats them as best-effort observers.
-        """
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def _notify(self, event: str, kind: Optional[str] = None,
-                key: Optional[str] = None,
-                fields: Optional[Dict[str, Any]] = None,
-                data: Optional[bytes] = None) -> None:
-        for listener in self._listeners:
-            listener(event, kind=kind, key=key, fields=fields, data=data)
-
     @property
     def index(self):
         """The store's :class:`repro.index.ResultIndex` (lazy).
 
-        Created on first access, registered as a mutation listener so
-        subsequent puts/quarantines/clears keep it consistent, and
-        backfilled with one rebuild when its ``index.db`` does not
-        exist yet but the store already holds entries.
+        Created on first access and backfilled with one rebuild when
+        its ``index.db`` does not exist yet but the store already holds
+        entries.  From then on every put/quarantine/clear is applied to
+        it through :meth:`~repro.index.ResultIndex.on_store_event`.
         """
         if self._index is None:
             from .index import ResultIndex  # deferred: index imports us
 
             self._index = ResultIndex(self)
-            self.add_listener(self._index.on_store_event)
             self._index.ensure_built()
         return self._index
 
@@ -299,7 +276,8 @@ class ArtifactStore:
                 moved += 1
             except OSError:
                 pass
-        self._notify("remove", kind=kind, key=key)
+        if self._index is not None:
+            self._index.on_store_event("remove", kind=kind, key=key)
         return moved
 
     def _corrupt(self, kind: str, key: str, reason: str,
@@ -434,13 +412,13 @@ class ArtifactStore:
         self.stats.bytes_written += len(data)
         if self._index is None:
             try:
-                self.index  # lazy-attach the result index listener
+                self.index  # lazy-attach the result index
             except Exception:
                 # A broken index must never fail an artifact write; the
                 # next index operation reports the typed failure.
                 pass
-        self._notify("put", kind=kind, key=key, fields=dict(fields),
-                     data=data)
+        self._index.on_store_event("put", kind=kind, key=key,
+                                   fields=fields, data=data)
         return payload
 
     # -- typed helpers ---------------------------------------------------
@@ -625,7 +603,8 @@ class ArtifactStore:
                         os.unlink(path)
                     except OSError:
                         pass
-        self._notify("clear", kind=kind)
+        if self._index is not None:
+            self._index.on_store_event("clear", kind=kind)
         return removed
 
 

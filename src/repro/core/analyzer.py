@@ -94,12 +94,10 @@ class ThreadFuserAnalyzer:
     """
 
     def __init__(self, config: Optional[AnalyzerConfig] = None,
-                 jobs: int = 1, recorder=None,
-                 stage_timeout: Optional[float] = None) -> None:
+                 jobs: int = 1, recorder=None) -> None:
         self.config = config or AnalyzerConfig()
         self.jobs = max(1, int(jobs))
         self.obs = recorder if recorder is not None else NULL_RECORDER
-        self.stage_timeout = stage_timeout
 
     def telemetry(self) -> Telemetry:
         """Snapshot of this analyzer's recorder (empty when disabled)."""
@@ -134,8 +132,7 @@ class ThreadFuserAnalyzer:
             outcome = None
             if self.jobs > 1 and visitor_factory is None and len(warps) > 1:
                 outcome = pool_mod.replay_warps_shared(
-                    traces, warps, dcfgs, cfg, self.jobs,
-                    stage_timeout=self.stage_timeout, obs=self.obs,
+                    traces, warps, dcfgs, cfg, self.jobs, obs=self.obs,
                 )
                 if outcome is None:
                     # The serial path below is bit-identical to jobs=1.
@@ -265,8 +262,7 @@ def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
                      emulate_locks: bool = False,
                      lock_reconvergence: str = "unlock",
                      config: Optional[AnalyzerConfig] = None,
-                     jobs: int = 1,
-                     stage_timeout: Optional[float] = None):
+                     jobs: int = 1):
     """SIMT efficiency across warp widths (the Fig. 1 sweep).
 
     Builds the DCFG/IPDOM tables once and replays per width; returns
@@ -283,9 +279,8 @@ def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
     out = {}
     for warp_size in warp_sizes:
         sized = dataclasses.replace(base, warp_size=warp_size)
-        out[warp_size] = ThreadFuserAnalyzer(
-            sized, jobs=jobs, stage_timeout=stage_timeout,
-        ).analyze(traces, dcfgs=dcfgs)
+        out[warp_size] = ThreadFuserAnalyzer(sized, jobs=jobs).analyze(
+            traces, dcfgs=dcfgs)
     return out
 
 
@@ -293,13 +288,10 @@ def analyze_traces(traces: TraceSet, warp_size: int = 32,
                    batching: str = "linear",
                    emulate_locks: bool = False,
                    lock_reconvergence: str = "unlock",
-                   jobs: int = 1,
-                   stage_timeout: Optional[float] = None) -> AnalysisReport:
+                   jobs: int = 1) -> AnalysisReport:
     """One-call convenience wrapper around :class:`ThreadFuserAnalyzer`."""
     config = AnalyzerConfig(
         warp_size=warp_size, batching=batching, emulate_locks=emulate_locks,
         lock_reconvergence=lock_reconvergence,
     )
-    return ThreadFuserAnalyzer(
-        config, jobs=jobs, stage_timeout=stage_timeout,
-    ).analyze(traces)
+    return ThreadFuserAnalyzer(config, jobs=jobs).analyze(traces)

@@ -6,17 +6,14 @@ but useless for answering questions.  "Which workloads dropped below
 0.8 SIMT efficiency?", "did the last PR regress pigz?", "how has the
 geomean replay speedup moved across the BENCH snapshots?" all required
 unpickling everything by hand.  This module turns the cache into a
-**results database**: every write to the store upserts denormalized
-rows into ``<store_root>/index.db`` (stdlib :mod:`sqlite3`), and
-queries, diffs, and perf trajectories are answered from those rows
-without ever touching a payload again.
+**results database**: every report or telemetry write to the store
+upserts denormalized rows into ``<store_root>/index.db`` (stdlib
+:mod:`sqlite3`), and queries, diffs, and perf trajectories are answered
+from those rows without ever touching a payload again.  No query reads
+traces or DCFGs, so they are never indexed.
 
 Tables (all store-derived tables are keyed by the artifact key):
 
-``artifacts``
-    One row per stored object of any kind: kind, key, size, and the
-    identifying fingerprint scalars (workload, threads, seed, opt
-    level).
 ``runs``
     One row per *report* artifact: the identifying scalars plus the
     analyzer config fields (warp size, batching, lock emulation) and
@@ -39,14 +36,14 @@ Tables (all store-derived tables are keyed by the artifact key):
 Consistency contract
 --------------------
 The index is maintained **incrementally**: :class:`~repro.artifacts.
-ArtifactStore` notifies its listeners on every put / quarantine /
-clear, and the index upserts or deletes the matching rows.  A full
-:meth:`ResultIndex.rebuild` from the store must produce **bit-identical
-rows** to any incrementally-maintained history (the property tests
-fuzz randomized put/clear/quarantine interleavings against this).
-Both paths derive rows from the same verified payload bytes through
-one function (:func:`rows_for_entry`), which is what makes the
-invariant structural rather than aspirational.
+ArtifactStore` hands every put / quarantine / clear to
+:meth:`ResultIndex.on_store_event`, and the index upserts or deletes
+the matching rows.  A full :meth:`ResultIndex.rebuild` from the store
+must produce **bit-identical rows** to any incrementally-maintained
+history (the property tests fuzz randomized put/clear/quarantine
+interleavings against this).  Both paths derive rows from the same
+verified payload bytes through one function (:func:`rows_for_entry`),
+which is what makes the invariant structural rather than aspirational.
 
 Failure contract
 ----------------
@@ -94,7 +91,8 @@ from .errors import IndexCorruptError
 #: Bump whenever the index table layout or row derivation changes; a
 #: mismatch makes every operation demand a rebuild instead of silently
 #: misreading rows written by another release.
-INDEX_SCHEMA_VERSION = 1
+#: v2: the per-object ``artifacts`` table is gone.
+INDEX_SCHEMA_VERSION = 2
 
 #: Name of the database file inside the store root.
 DB_FILENAME = "index.db"
@@ -121,16 +119,6 @@ _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
     k TEXT PRIMARY KEY,
     v TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS artifacts (
-    kind TEXT NOT NULL,
-    key TEXT NOT NULL,
-    size INTEGER NOT NULL,
-    workload TEXT,
-    n_threads INTEGER,
-    seed INTEGER,
-    opt_level TEXT,
-    PRIMARY KEY (kind, key)
 );
 CREATE TABLE IF NOT EXISTS runs (
     key TEXT PRIMARY KEY,
@@ -186,7 +174,12 @@ CREATE TABLE IF NOT EXISTS bench_metrics (
 
 #: The store-derived tables (wiped and repopulated by a rebuild; the
 #: bench trajectory tables are *not* store-derived and survive it).
-_STORE_TABLES = ("artifacts", "runs", "hotspots", "telemetry")
+_STORE_TABLES = ("runs", "hotspots", "telemetry")
+
+#: The tables each indexed store kind owns, keyed by artifact key.
+#: Every other kind has no rows and its payloads are never read.
+_KIND_TABLES = {KIND_REPORT: ("runs", "hotspots"),
+                KIND_TELEMETRY: ("telemetry",)}
 
 #: Comparison operators accepted by counter predicates, mapped to SQL.
 _COUNTER_OPS = {">": ">", ">=": ">=", "<": "<", "<=": "<=",
@@ -293,17 +286,15 @@ def rows_for_entry(kind: str, key: str, fields: Dict[str, Any],
     Used by *both* the incremental put hook and :meth:`ResultIndex.
     rebuild`, so the two maintenance paths cannot drift: identical
     ``(kind, key, fields, payload)`` inputs always yield identical
-    rows.  Raises ``ValueError`` when a checksum-valid payload cannot
-    be decoded (layout drift) -- callers decide whether that is a skip
-    (rebuild) or a warning (incremental).
+    rows.  Kinds other than report and telemetry have no rows.  Raises
+    ``ValueError`` when a checksum-valid payload cannot be decoded
+    (layout drift) -- callers decide whether that is a skip (rebuild)
+    or a warning (incremental).
     """
     fields = fields or {}
     rows: Dict[str, Any] = {
-        "artifact": (
-            kind, key, len(payload),
-            fields.get("workload"), _int_or_none(fields.get("n_threads")),
-            _int_or_none(fields.get("seed")), fields.get("opt_level"),
-        ),
+        "kind": kind,
+        "key": key,
         "run": None,
         "hotspots": [],
         "telemetry": [],
@@ -400,15 +391,14 @@ class ResultIndex:
     wrong answer.
 
     Construction never touches the database file; the schema is
-    created lazily on first use.  Stores attach the index as a write
-    listener automatically (see :attr:`ArtifactStore.index`), so the
-    rows track every put/quarantine/clear as it happens.
+    created lazily on first use.  A store hands every put/quarantine/
+    clear to :meth:`on_store_event` once its index is attached (see
+    :attr:`ArtifactStore.index`), so the rows track them as they
+    happen.
     """
 
-    def __init__(self, store: Optional[ArtifactStore] = None,
+    def __init__(self, store: ArtifactStore,
                  path: Optional[str] = None) -> None:
-        if store is None and path is None:
-            raise ValueError("ResultIndex needs a store or a db path")
         self.store = store
         self.path = path or os.path.join(store.root, DB_FILENAME)
         self._rebuilding = False
@@ -491,12 +481,14 @@ class ResultIndex:
 
         ``event`` is ``"put"`` (with fields and payload bytes),
         ``"remove"`` (quarantine), or ``"clear"`` (kind, or every
-        kind when ``kind is None``).  Write-side failures degrade to
-        one :class:`IndexWarning` per index instance -- the artifact
-        write already succeeded and a rebuild restores the rows -- so
-        an index problem can never fail an analysis run.
+        kind when ``kind is None``).  Events about kinds that have no
+        rows return without opening the database.  Write-side failures
+        degrade to one :class:`IndexWarning` per index instance -- the
+        artifact write already succeeded and a rebuild restores the
+        rows -- so an index problem can never fail an analysis run.
         """
-        if self._rebuilding:
+        if self._rebuilding or (kind is not None
+                                and kind not in _KIND_TABLES):
             return
         try:
             if event == "put":
@@ -528,12 +520,7 @@ class ResultIndex:
 
     def _upsert(self, conn: sqlite3.Connection,
                 rows: Dict[str, Any]) -> None:
-        kind, key = rows["artifact"][0], rows["artifact"][1]
-        self._delete(conn, kind, key)
-        conn.execute(
-            "INSERT OR REPLACE INTO artifacts "
-            "(kind, key, size, workload, n_threads, seed, opt_level) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)", rows["artifact"])
+        self._delete(conn, rows["kind"], rows["key"])
         if rows["run"] is not None:
             conn.execute(
                 "INSERT OR REPLACE INTO runs VALUES "
@@ -550,26 +537,13 @@ class ResultIndex:
 
     @staticmethod
     def _delete(conn: sqlite3.Connection, kind: str, key: str) -> None:
-        conn.execute("DELETE FROM artifacts WHERE kind = ? AND key = ?",
-                     (kind, key))
-        if kind == KIND_REPORT:
-            conn.execute("DELETE FROM runs WHERE key = ?", (key,))
-            conn.execute("DELETE FROM hotspots WHERE key = ?", (key,))
-        elif kind == KIND_TELEMETRY:
-            conn.execute("DELETE FROM telemetry WHERE key = ?", (key,))
+        for table in _KIND_TABLES[kind]:
+            conn.execute(f"DELETE FROM {table} WHERE key = ?", (key,))
 
     @staticmethod
     def _clear(conn: sqlite3.Connection, kind: Optional[str]) -> None:
-        if kind is None:
-            for table in _STORE_TABLES:
-                conn.execute(f"DELETE FROM {table}")
-            return
-        conn.execute("DELETE FROM artifacts WHERE kind = ?", (kind,))
-        if kind == KIND_REPORT:
-            conn.execute("DELETE FROM runs")
-            conn.execute("DELETE FROM hotspots")
-        elif kind == KIND_TELEMETRY:
-            conn.execute("DELETE FROM telemetry")
+        for table in _STORE_TABLES if kind is None else _KIND_TABLES[kind]:
+            conn.execute(f"DELETE FROM {table}")
 
     # -- rebuild ---------------------------------------------------------
 
@@ -587,12 +561,13 @@ class ResultIndex:
     def rebuild(self) -> Dict[str, int]:
         """Regenerate every store-derived row from the artifact store.
 
-        Walks the store's meta records, re-reads each payload through
-        the verified path (corrupt entries are quarantined by the
-        store, *skipped* here with an :class:`IndexWarning`, and
-        counted in the returned stats -- never indexed), and
-        repopulates the store-derived tables in one transaction.  The
-        bench trajectory tables are not store-derived and survive.
+        Walks the store's meta records, re-reads each report and
+        telemetry payload through the verified path (corrupt entries
+        are quarantined by the store, *skipped* here with an
+        :class:`IndexWarning`, and counted in the returned stats --
+        never indexed), and repopulates the store-derived tables in one
+        transaction.  Traces and DCFGs have no rows and are never read.
+        The bench trajectory tables are not store-derived and survive.
 
         A database file that is itself unreadable (corrupt sqlite) is
         deleted and recreated -- the one case where bench history is
@@ -600,8 +575,6 @@ class ResultIndex:
 
         Returns ``{"indexed", "skipped_corrupt", "skipped_unknown"}``.
         """
-        if self.store is None:
-            raise ValueError("this index has no store to rebuild from")
         stats = {"indexed": 0, "skipped_corrupt": 0, "skipped_unknown": 0}
         entries = self.store.entries()
         self._rebuilding = True
@@ -641,6 +614,8 @@ class ResultIndex:
                     f"({entry.key[:12]}..) left unindexed (written by "
                     "another release; 'threadfuser cache clear' removes "
                     "it)", IndexWarning, stacklevel=4)
+                continue
+            if entry.kind not in _KIND_TABLES:
                 continue
             payload = self.store.read_key(entry.kind, entry.key,
                                           count_stats=False)

@@ -1052,7 +1052,6 @@ if hasattr(os, "register_at_fork"):
 
 
 def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
-                        stage_timeout: Optional[float] = None,
                         obs=None) -> Optional[tuple]:
     """Replay ``warps`` on the persistent pool via a shared-memory arena.
 
@@ -1079,9 +1078,8 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
         tasks = [(_shm_replay_shard, (arena.name, token, cfg, shard),
                   f"replay:{shard[0][0]}")
                  for shard in shards]
-        outcomes = pool.run_tasks(tasks, jobs=jobs,
-                                  stage_timeout=stage_timeout,
-                                  arenas=(arena,), state=((token, dcfgs),))
+        outcomes = pool.run_tasks(tasks, jobs=jobs, arenas=(arena,),
+                                  state=((token, dcfgs),))
     except Exception as exc:
         if faults.is_retryable(exc):
             return None

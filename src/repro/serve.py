@@ -156,6 +156,9 @@ _IDLE_TIMEOUT = 60.0
 #: Poll interval of the NDJSON stage-progress stream (seconds).
 _STREAM_POLL_S = 0.05
 
+#: Seconds :func:`start_in_background` waits for the listener to bind.
+_READY_TIMEOUT_S = 30.0
+
 _ANALYZE_BATCHINGS = ("linear", "cpu_affine", "strided")
 _LOCK_RECONVERGENCE = ("unlock", "exit")
 
@@ -616,6 +619,8 @@ class AnalysisServer:
         self._queue: Optional[asyncio.Queue] = None
         self._runner_task: Optional[asyncio.Task] = None
         self._running_job: Optional[Job] = None
+        #: Open connection handlers and their writers, closed by stop().
+        self._connections: "Dict[asyncio.Task, asyncio.StreamWriter]" = {}
         self._shard_pool: Optional[shards_mod.ShardPool] = None
         self._dispatch_gate: Optional[asyncio.Event] = None
         #: Guards counters and per-shard maps mutated off the loop
@@ -647,10 +652,18 @@ class AnalysisServer:
             store = self._session.store
             self._shard_pool = shards_mod.ShardPool(self.shards, {
                 "cache_dir": store.root if store is not None else None,
-                "stage_timeout": self._session.stage_timeout,
             })
             self._dispatch_gate = asyncio.Event()
             await self._loop.run_in_executor(None, self._shard_pool.start)
+        elif self._session.jobs > 1:
+            # Fork the replay workers before the listener exists, as
+            # shards are, so none inherits (and holds open) a client.
+            try:
+                await self._loop.run_in_executor(
+                    None, pool_mod.shared_pool().ensure_workers,
+                    self._session.jobs)
+            except (ValueError, OSError):
+                pass  # the first replay spawns, or falls back to serial
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         sock = self._server.sockets[0]
@@ -663,16 +676,20 @@ class AnalysisServer:
     async def stop(self) -> None:
         """Stop accepting, cancel the runner, release the executors.
 
-        Queued jobs are abandoned (their clients see the server go
-        away); the running job finishes on its thread before the
-        executor shuts down.  The session is closed only when this
-        server created it.
+        Open connections are closed from this side, so idle keep-alive
+        clients read EOF.  Queued jobs are abandoned (their clients see
+        the server go away); the running job finishes on its thread
+        before the executor shuts down.  The session is closed only
+        when this server created it.
         """
         if self.closed:
             return
         self.closed = True
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
         if self._runner_task is not None:
             self._runner_task.cancel()
@@ -1129,6 +1146,8 @@ class AnalysisServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 request = await self._read_request(reader)
@@ -1159,6 +1178,7 @@ class AnalysisServer:
                 asyncio.IncompleteReadError, asyncio.TimeoutError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1515,13 +1535,12 @@ class ServerHandle:
         self.close()
 
 
-def start_in_background(ready_timeout: float = 30.0,
-                        **kwargs: Any) -> ServerHandle:
+def start_in_background(**kwargs: Any) -> ServerHandle:
     """Run an :class:`AnalysisServer` on a daemon thread; return a handle.
 
     ``kwargs`` go to :class:`AnalysisServer` (``session``, ``host``,
     ``port``, ``queue_depth``, and session knobs like ``cache_dir`` /
-    ``jobs``).  Blocks up to ``ready_timeout`` seconds until the
+    ``jobs``).  Blocks up to ``_READY_TIMEOUT_S`` seconds until the
     listener is bound, so :attr:`ServerHandle.url` is immediately
     usable.  Raises the startup error (or ``TimeoutError``) if the
     server fails to come up.
@@ -1548,7 +1567,7 @@ def start_in_background(ready_timeout: float = 30.0,
 
     thread = threading.Thread(target=_run, name="tf-serve", daemon=True)
     thread.start()
-    if not ready.wait(ready_timeout):
+    if not ready.wait(_READY_TIMEOUT_S):
         loop.call_soon_threadsafe(loop.stop)
         raise TimeoutError("analysis server failed to start in time")
     if failure:

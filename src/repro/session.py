@@ -18,7 +18,9 @@ individually cacheable stages::
 
 Stage outputs are memoized in-process and, when the session has a cache
 directory, persisted through :class:`repro.artifacts.ArtifactStore` so
-sweeps and repeated CLI runs never re-execute identical work.  All entry
+sweeps and repeated CLI runs never re-execute identical work.  Of those
+writes only the report (and stored telemetry) reaches the store's sqlite
+result index (:mod:`repro.index`).  All entry
 points -- :mod:`repro.pipeline`, the CLI, the benchmark harness, the
 examples -- route through this class.
 
@@ -64,6 +66,9 @@ from .workloads.base import WorkloadInstance, get_workload
 #: The builder's as-written shape; `transform` is the identity here.
 OPT_BASE = "O1"
 
+#: Retry schedule of a serial trace that fails transiently.
+_RETRY = faults.RetryPolicy()
+
 
 class AnalysisSession:
     """A staged, cached pipeline over the workload catalog.
@@ -77,22 +82,9 @@ class AnalysisSession:
         Worker processes for the parallel stages (warp replay and
         concurrent trace generation).  ``jobs=1`` is bit-identical to
         the serial pipeline.
-    store:
-        Pass an existing :class:`ArtifactStore` instead of ``cache_dir``.
     recorder:
         An optional :class:`repro.obs.Recorder`.  Defaults to the shared
         no-op recorder, which keeps instrumentation overhead negligible.
-    retry:
-        A :class:`repro.faults.RetryPolicy` governing how transient
-        failures (dead pool workers, injected/real ``OSError``,
-        timeouts) are retried before a typed
-        :class:`~repro.errors.RetryExhaustedError` is raised.  Bugs --
-        non-retryable exceptions -- always propagate immediately with
-        their original traceback.
-    stage_timeout:
-        Optional per-item deadline (seconds) for pool results; a worker
-        that exceeds it is treated as a retryable failure and its item
-        falls back to the bit-identical serial path.
 
     For ``jobs>1`` the parallel stages run on the persistent
     :mod:`repro.pool` workers -- spawned once, reused across
@@ -108,17 +100,11 @@ class AnalysisSession:
     """
 
     def __init__(self, cache_dir: Optional[str] = None, jobs: int = 1,
-                 store: Optional[ArtifactStore] = None,
-                 recorder=None,
-                 retry: Optional[faults.RetryPolicy] = None,
-                 stage_timeout: Optional[float] = None) -> None:
-        if store is None and cache_dir is not None:
-            store = ArtifactStore(cache_dir)
-        self.store = store
+                 recorder=None) -> None:
+        self.store = (ArtifactStore(cache_dir) if cache_dir is not None
+                      else None)
         self.jobs = max(1, int(jobs))
         self.obs = recorder if recorder is not None else NULL_RECORDER
-        self.retry = retry or faults.RetryPolicy()
-        self.stage_timeout = stage_timeout
         #: Machine executions performed by this session (test surface:
         #: a warm cache keeps this at zero).
         self.executions = 0
@@ -428,10 +414,10 @@ class AnalysisSession:
         :func:`repro.faults.is_retryable`).  A dead or timed-out worker,
         a broken pool, or a corrupted result stream sends the affected
         items to the serial path -- bit-identical to ``jobs=1`` -- with
-        per-item retry and exponential backoff (the session's ``retry``
-        policy).  A worker exception that is a *bug* (a ``ValueError``
-        from workload code, say) is never silently retried: it re-raises
-        immediately with the worker's original traceback chained in.
+        per-item retry and exponential backoff.  A worker exception
+        that is a *bug* (a ``ValueError`` from workload code, say) is
+        never silently retried: it re-raises immediately with the
+        worker's original traceback chained in.
         """
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         names = list(workloads)
@@ -503,8 +489,7 @@ class AnalysisSession:
         tasks = [(_trace_worker, (name, n_threads, seed, opt_level), name)
                  for name in cold]
         try:
-            outcomes = pool_mod.shared_pool().run_tasks(
-                tasks, jobs=pool_jobs, stage_timeout=self.stage_timeout)
+            outcomes = pool_mod.shared_pool().run_tasks(tasks, jobs=pool_jobs)
         except Exception as exc:
             if not faults.is_retryable(exc):
                 raise
@@ -521,7 +506,7 @@ class AnalysisSession:
 
     def _trace_with_retry(self, name: str, n_threads: Optional[int],
                           seed: int, opt_level: str) -> TraceSet:
-        """Serial :meth:`trace` under the session's retry policy.
+        """Serial :meth:`trace` under the module's retry policy.
 
         This is the guaranteed fallback of every parallel path: the
         serial pipeline *is* the ``jobs=1`` pipeline, so a recovered
@@ -535,7 +520,7 @@ class AnalysisSession:
         return faults.call_with_retry(
             lambda: self.trace(name, n_threads=n_threads, seed=seed,
                                opt_level=opt_level),
-            policy=self.retry,
+            policy=_RETRY,
             label=f"trace {name!r}",
             on_retry=on_retry,
         )
@@ -586,7 +571,7 @@ class AnalysisSession:
         """
         analyzer = ThreadFuserAnalyzer(
             config, jobs=self.jobs if jobs is None else jobs,
-            recorder=self.obs, stage_timeout=self.stage_timeout,
+            recorder=self.obs,
         )
         with self.obs.span("replay"):
             return analyzer.analyze(

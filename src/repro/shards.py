@@ -127,7 +127,7 @@ class ShardPool:
     config:
         :class:`~repro.session.AnalysisSession` keyword arguments for
         each shard's private session (``cache_dir`` pointing at the
-        shared store, ``stage_timeout``).  Shard sessions always run
+        shared store).  Shard sessions always run
         with ``jobs=1``: a shard worker is a daemonic pool worker and
         cannot start a replay pool of its own.
 

@@ -173,7 +173,7 @@ class TestRowDerivation:
         import pickle
         rows = rows_for_entry(KIND_REPORT, "k1", fields,
                               pickle.dumps(report))
-        assert rows["artifact"][:2] == (KIND_REPORT, "k1")
+        assert (rows["kind"], rows["key"]) == (KIND_REPORT, "k1")
         assert rows["run"][1] == "pigz"
         assert rows["run"][5] == 16          # warp_size
         assert rows["run"][9] == 0.25        # simt_efficiency
@@ -204,9 +204,11 @@ class TestRowDerivation:
             rows_for_entry(KIND_REPORT, "k", {}, b"not a pickle")
         with pytest.raises(ValueError, match="JSON"):
             rows_for_entry(KIND_TELEMETRY, "k", {}, b"{truncated")
-        # Non-report kinds only produce an artifact row.
+        # Kinds other than report and telemetry produce no rows.
         rows = rows_for_entry(KIND_TRACES, "k", {"workload": "x"}, b"abc")
-        assert rows["run"] is None and rows["artifact"][2] == 3
+        assert (rows["kind"], rows["key"]) == (KIND_TRACES, "k")
+        assert rows["run"] is None
+        assert rows["hotspots"] == [] and rows["telemetry"] == []
 
 
 # -- incremental maintenance ---------------------------------------------
@@ -228,7 +230,7 @@ class TestIncrementalMaintenance:
         assert len(index.query()) == 1
         store.quarantine(KIND_REPORT, fingerprint_key(fields))
         assert index.query() == []
-        assert index.stats()["artifacts"] == 0
+        assert index.stats()["runs"] == 0
 
     def test_clear_kind_and_clear_all(self, store):
         fields = put_report(store)
@@ -240,7 +242,7 @@ class TestIncrementalMaintenance:
         assert len(index.query()) == 1
         store.clear()
         assert index.stats() == {
-            "artifacts": 0, "runs": 0, "hotspots": 0, "telemetry": 0,
+            "runs": 0, "hotspots": 0, "telemetry": 0,
             "bench_runs": 0, "bench_metrics": 0}
 
     def test_reopened_store_answers_without_rebuilding(self, store):
@@ -248,15 +250,31 @@ class TestIncrementalMaintenance:
         reopened = ArtifactStore(store.root)
         assert reopened.index.query()[0]["simt_efficiency"] == 0.7
 
+    def test_cold_analysis_writes_the_index_once(self, tmp_path,
+                                                 monkeypatch):
+        from repro.session import AnalysisSession
+
+        session = AnalysisSession(cache_dir=str(tmp_path / "cache"))
+        session.store.index  # a store in use already has its index.db
+        labels = []
+        run = ResultIndex._run
+
+        def spy(self, label, fn):
+            labels.append(label)
+            return run(self, label, fn)
+
+        monkeypatch.setattr(ResultIndex, "_run", spy)
+        session.analyze("vectoradd", n_threads=8)
+        assert session.executions == 1
+        assert labels == ["upsert report"]
+
     def test_store_populated_before_indexing_backfills(self, tmp_path):
         # Build the store with the index detached (as an older release
         # would have), then attach: the first access must backfill.
         store = ArtifactStore(str(tmp_path))
-        store._listeners.clear()
         store._index = None
         put_report(store, efficiency=0.9)
         os.unlink(os.path.join(store.root, DB_FILENAME))
-        store._listeners.clear()
         store._index = None
         fresh = ArtifactStore(str(tmp_path))
         assert fresh.index.query()[0]["simt_efficiency"] == 0.9
@@ -278,6 +296,27 @@ class TestRebuildConsistency:
         stats = store.index.rebuild()
         assert stats["indexed"] == 2
         assert store.index.snapshot() == incremental
+
+    def test_rebuild_reads_only_report_and_telemetry_payloads(
+            self, store, monkeypatch):
+        fields = put_report(store)
+        put_telemetry(store, fields, counters={"c": 1})
+        store.put_bytes(KIND_TRACES, dict(fields, kind=KIND_TRACES),
+                        b"packed columns")
+        store.put_object(KIND_DCFGS, dict(fields, kind=KIND_DCFGS),
+                         {"dcfg": 1})
+        read = []
+        read_key = ArtifactStore.read_key
+
+        def spy(self, kind, key, *args, **kwargs):
+            read.append(kind)
+            return read_key(self, kind, key, *args, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "read_key", spy)
+        stats = store.index.rebuild()
+        assert sorted(read) == [KIND_REPORT, KIND_TELEMETRY]
+        assert stats == {"indexed": 2, "skipped_corrupt": 0,
+                         "skipped_unknown": 0}
 
     def test_rebuild_skips_corrupt_entries_with_typed_warning(self, store):
         fields = put_report(store)

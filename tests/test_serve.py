@@ -706,3 +706,77 @@ class TestEventsDisconnect:
         lines = response.read().decode().splitlines()
         conn.close()
         assert json.loads(lines[-1])["status"] == "done"
+
+
+def _read_to_eof(sock, timeout):
+    """Bytes until the peer closes, or ``None`` if no EOF in ``timeout``."""
+    sock.settimeout(timeout)
+    data = b""
+    deadline = time.monotonic() + timeout
+    try:
+        while time.monotonic() < deadline:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return data
+            data += chunk
+    except socket.timeout:
+        pass
+    return None
+
+
+class TestShutdownClosesConnections:
+    def test_close_ends_an_idle_keep_alive_connection(self, tmp_path):
+        handle = start_in_background(cache_dir=str(tmp_path / "cache"))
+        conn = http.client.HTTPConnection(handle.server.host,
+                                          handle.server.port, timeout=30.0)
+        try:
+            conn.request("GET", "/v1/health")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            started = time.monotonic()
+            handle.close()
+            assert time.monotonic() - started < 2.0
+            assert _read_to_eof(conn.sock, 2.0) == b""
+        finally:
+            conn.close()
+            handle.close()
+
+    def test_jobs2_replay_workers_hold_no_client_socket(self, tmp_path):
+        # The workers are forked with whatever sockets are open at that
+        # moment; a server that forks them before it listens has none.
+        # Injected worker kills and spawn failures respawn workers while
+        # clients are connected, so this runs without a fault plan.
+        from repro import pool
+
+        pool.shutdown()
+        with faults.injected(None):
+            handle = start_in_background(cache_dir=str(tmp_path / "cache"),
+                                         jobs=2)
+            conn = http.client.HTTPConnection(
+                handle.server.host, handle.server.port, timeout=60.0)
+            try:
+                conn.request("POST", "/v1/analyze", json.dumps({
+                    "workload": WORKLOAD, "n_threads": 256,
+                    "warp_size": 8}),
+                    {"Content-Type": "application/json"})
+                job_id = json.loads(conn.getresponse().read())["job_id"]
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() < deadline:
+                    conn.request("GET", f"/v1/jobs/{job_id}")
+                    doc = json.loads(conn.getresponse().read())
+                    if doc["status"] in ("done", "failed"):
+                        break
+                    time.sleep(0.01)
+                assert doc["status"] == "done", doc
+                sock, conn.sock = conn.sock, None
+                sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n"
+                             b"Connection: close\r\n\r\n")
+                reply = _read_to_eof(sock, 2.0)
+                sock.close()
+                assert reply is not None, "no EOF after Connection: close"
+                assert reply.startswith(b"HTTP/1.1 200")
+            finally:
+                conn.close()
+                handle.close()
+                pool.shutdown()
