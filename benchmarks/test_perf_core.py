@@ -1,4 +1,4 @@
-"""Core execution-engine throughput: compiled vs seed interpreter.
+"""Core execution-engine throughput: compiled kernels vs the interpreter.
 
 Measures single-process machine throughput (dynamic instructions per
 second) for both execution engines over the tracer-overhead workload
@@ -134,6 +134,7 @@ def test_core_engine_throughput(benchmark):
 
     payload = {
         "mode": "smoke" if SMOKE else "full",
+        "nproc": len(os.sched_getaffinity(0)),
         "n_threads": N_THREADS,
         "rounds": ROUNDS,
         "unit": "instructions/second, single process",

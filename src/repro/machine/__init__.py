@@ -12,10 +12,10 @@ from .memory import (
     stack_top,
 )
 from .machine import Machine, NullHooks, ThreadContext
-from .compiled import block_handlers
+from .compiled import kernel_table
 
 __all__ = [
-    "block_handlers",
+    "kernel_table",
     "DeadlockError",
     "InstructionLimitError",
     "MachineError",

@@ -1,659 +1,802 @@
-"""Link-time instruction specialization: the compiled execution engine.
+"""Block-range kernels: the compiled execution engine.
 
-The seed interpreter decodes every dynamic instruction from scratch --
-an ``Op`` -> method dict lookup, ``isinstance``-driven operand decoding
-in ``_read``/``_write``, and an effective-address walk over the ``Mem``
-attributes.  This module performs that decoding once, at link time: each
-:class:`~repro.program.ir.Instruction` is lowered to a specialized
-closure with register indices, immediate values and effective-address
-recipes pre-bound, and each :class:`~repro.program.ir.BasicBlock`
-becomes a flat handler list the machine executes as a tight loop (see
-``Machine._run_quantum_compiled``).
+The reference interpreter (``Machine._run_quantum``) decodes every
+dynamic instruction anew: an ``Op`` -> method lookup,
+``isinstance``-driven operand decoding in ``_read``/``_write``, and an
+effective-address walk over the ``Mem`` attributes.  This module does
+that decoding once per executed *range* ``[start, stop)`` of a basic
+block and turns the range into one generated Python function, a
+*kernel*: straight-line code that reads and writes ``t.regs`` directly,
+inlines the block's terminator, and updates ``t.idx`` and
+``t.instructions_executed`` once per range.  ``Machine._run_quantum_compiled``
+runs one kernel per scheduling step.
 
-Two variants exist per program:
+Like a binary translator's code cache, the work splits in two:
 
-* **traced** -- handlers drive the instrumentation hooks exactly like
-  the seed interpreter (same call order, same arguments);
-* **native** -- the no-op-hook fast path used when the machine's hooks
-  are exactly :class:`~repro.machine.machine.NullHooks`: hook calls are
-  omitted entirely (they are no-ops by definition), while every
-  architectural effect and counter (``mem_events``, instruction counts)
-  is preserved.
+* **code, cached by shape.**  A block's *shape* is everything that
+  changes the generated text: opcodes, register indexes, operand kinds,
+  memory-operand sizes, traced or native, and whether a conditional
+  branch has a fall-through; with ``start``/``stop`` it fixes a range's
+  code.  Each range's code object is compiled once per process and
+  kept under its block shape in a bounded LRU cache
+  (:data:`KERNEL_CACHE_SIZE` block shapes), so programs built from
+  different seeds -- which differ only in data -- share every kernel.
+* **values, bound per program.**  Immediates, displacements, scales,
+  branch targets, callee frames and ``repro.isa.semantics`` functions
+  live in one globals dict per block (names carry the instruction's
+  slot, e.g. ``v3_2`` is operand 2 of slot 3), and each kernel of the
+  block is a function over that dict.  Bound kernels are kept on the
+  program (``Program.compiled_cache``, cleared by ``link()``).
 
-Both variants are **bit-identical** to the seed interpreter in every
-observable: traces, metrics, machine counters, error behavior
-(``tests/test_engine_parity.py`` proves this across the workload
-catalog).  Handler lists are cached on the program (invalidated by
-:meth:`~repro.program.ir.Program.link`), so many machines -- e.g. the
-native and traced runs of the tracer-overhead benchmark -- share one
-compilation.
+Only ``int`` values (register indexes, slots, sizes) and tokens from
+this module's own tables ever reach the generated source; no program
+value is spliced into it.  An operator is inlined only where the
+expression is exactly its ``repro.isa.semantics`` lambda body (ADD is
+``a + b``); every other operator calls the bound semantics function.
+LOCK, UNLOCK, BARRIER and any instruction whose operands do not fit the
+generated forms call the interpreter's own ``Machine._op_*`` method.
 
-The ``slot`` every memory hook reports is the instruction's index inside
-its block; at execution time ``thread.idx`` always equals that index, so
-it is baked in as a constant instead of being re-read per access.
+Two variants exist per program: **traced** kernels call the
+instrumentation hooks at the interpreter's points with its arguments;
+**native** kernels -- used when the hooks are exactly
+:class:`~repro.machine.machine.NullHooks` -- leave the no-op calls out
+and keep every counter.  Error state is exact: a local holds the slot of
+the current instruction, and on any exception the kernel sets
+``t.idx``, adds the instructions already executed, flushes
+``mem_events``, records the slot in ``machine._fault_at`` (the
+scheduler's instruction total) and re-raises.  Both variants are
+bit-identical to the interpreter in every observable
+(``tests/test_engine_parity.py``, ``tests/test_machine_edge.py``,
+``tests/test_differential_fuzz.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import builtins
+import functools
+import types
+from typing import Dict, List, Optional, Tuple
 
-from ..isa import Imm, Mem, Op, Reg
+from ..isa import BLOCK_TERMINATORS, Imm, Mem, Op, Reg
 from ..isa import semantics
-from ..program.ir import Instruction, Program
+from ..program.ir import BasicBlock, Program
 from .errors import MachineError
+from .machine import Machine, ThreadContext, _Frame
 
-#: Handler signature: ``handler(machine, thread) -> None``.
-Handler = Callable
+#: Block shapes whose kernel code is kept per process.
+KERNEL_CACHE_SIZE = 2048
+
+#: Operators whose ``repro.isa.semantics`` lambda body is inlined
+#: verbatim (``{0}``/``{1}`` are the operands; the test suite checks
+#: each template against the lambda's source).
+INLINE_BINARY: Dict[Op, str] = {
+    Op.ADD: "{0} + {1}",
+    Op.SUB: "{0} - {1}",
+    Op.IMUL: "{0} * {1}",
+    Op.AND: "{0} & {1}",
+    Op.OR: "{0} | {1}",
+    Op.XOR: "{0} ^ {1}",
+    Op.SHL: "{0} << {1}",
+    Op.SHR: "{0} >> {1}",
+    Op.FADD: "{0} + {1}",
+    Op.FSUB: "{0} - {1}",
+    Op.FMUL: "{0} * {1}",
+}
+INLINE_UNARY: Dict[Op, str] = {
+    Op.NOT: "~{0}",
+    Op.NEG: "-{0}",
+    Op.FNEG: "-{0}",
+}
+INLINE_TEST: Dict[Op, str] = {
+    Op.JE: "{0} == 0",
+    Op.JNE: "{0} != 0",
+    Op.JL: "{0} < 0",
+    Op.JLE: "{0} <= 0",
+    Op.JG: "{0} > 0",
+    Op.JGE: "{0} >= 0",
+    Op.CMOVE: "{0} == 0",
+    Op.CMOVNE: "{0} != 0",
+    Op.CMOVL: "{0} < 0",
+    Op.CMOVLE: "{0} <= 0",
+    Op.CMOVG: "{0} > 0",
+    Op.CMOVGE: "{0} >= 0",
+}
+#: ``semantics.compare``'s body (CMP/FCMP).
+INLINE_COMPARE = "({0} > {1}) - ({0} < {1})"
 
 
-def block_handlers(program: Program, traced: bool) -> Dict[int, tuple]:
-    """The compiled handler tables of ``program``, keyed by block address.
+class BlockKernels:
+    """The bound kernels of one basic block, for one engine variant.
 
-    Each value is ``(handlers, n)``: the block's handler list and its
-    instruction count.  Terminators can only sit at a block's end (the
-    builder and every optimizer pass preserve this), so the whole list
-    can run as one uninterrupted loop when the scheduling budget covers
-    it.  Compiled once per (program, variant) and cached on the
-    program; :meth:`Program.link` invalidates the cache because
-    handlers bind resolved addresses and block objects.
+    ``n`` is the block's length; a terminator can only be its last
+    instruction (``ProgramBuilder`` and every optimizer pass keep this).
+    ``fallthrough`` is the next block in layout order, entered when a
+    block without a terminator runs out.  ``full[start]`` holds the
+    kernel of ``[start, n)``, ``part[(start, stop)]`` the clipped ones.
     """
+
+    __slots__ = ("n", "fallthrough", "full", "part", "_program", "_block",
+                 "_traced", "_codes", "_env")
+
+    def __init__(self, program: Program, block: BasicBlock,
+                 traced: bool) -> None:
+        self.n = n = len(block.instructions)
+        self.fallthrough = (program.next_block(block)
+                            if not block.is_terminated() else None)
+        self.full: List = [None] * n
+        self.part: Dict[Tuple[int, int], object] = {}
+        self._program = program
+        self._block = block
+        self._traced = traced
+        self._codes: Optional[_BlockCodes] = None
+        self._env: Optional[dict] = None
+
+    def bind(self, start: int, stop: int):
+        """The kernel of ``[start, stop)``, bound on first use."""
+        if self._codes is None:
+            shapes, self._env = _describe_block(self._program,
+                                                self._block)
+            self._codes = _block_codes(self._traced, shapes)
+        code = self._codes.get((start, stop))
+        if code is None:
+            code = self._codes.compile(start, stop)
+        kernel = types.FunctionType(code, self._env)
+        if stop == self.n:
+            self.full[start] = kernel
+        else:
+            self.part[(start, stop)] = kernel
+        return kernel
+
+    def bound(self) -> int:
+        """How many kernels of this block are bound."""
+        return len(self.part) + sum(k is not None for k in self.full)
+
+
+def kernel_table(program: Program, traced: bool) -> Dict[BasicBlock,
+                                                       BlockKernels]:
+    """The ``block -> BlockKernels`` table of one variant, cached on
+    ``program``.  The machine adds a block's entry on its first
+    execution, so a program pays only for the blocks it runs."""
     key = "traced" if traced else "native"
-    handlers = program.compiled_cache.get(key)
-    if handlers is None:
-        handlers = _compile_program(program, traced)
-        program.compiled_cache[key] = handlers
-    return handlers
-
-
-def _compile_program(program: Program, traced: bool) -> Dict[int, tuple]:
-    table: Dict[int, tuple] = {}
-    for function in program.functions.values():
-        for block in function.blocks:
-            handlers = [
-                _compile_instruction(program, block, instr, slot, traced)
-                for slot, instr in enumerate(block.instructions)
-            ]
-            table[block.addr] = (handlers, len(handlers))
+    table = program.compiled_cache.get(key)
+    if table is None:
+        table = program.compiled_cache[key] = {}
     return table
 
 
-# ----------------------------------------------------------------------
-# Operand specialization.
-
-def _ea_fn(mem: Mem):
-    """A closure computing ``mem``'s effective address from a thread."""
-    disp = mem.disp
-    base = mem.base.index if mem.base is not None else None
-    index = mem.index.index if mem.index is not None else None
-    scale = mem.scale
-    if base is None and index is None:
-        return lambda t: disp
-    if index is None:
-        return lambda t: t.regs[base] + disp
-    if base is None:
-        return lambda t: t.regs[index] * scale + disp
-    return lambda t: t.regs[base] + t.regs[index] * scale + disp
-
-
-def _reader(operand, slot: int, traced: bool):
-    """A closure mirroring ``Machine._read`` for one pre-decoded operand."""
-    if isinstance(operand, Reg):
-        i = operand.index
-
-        def read(m, t):
-            return t.regs[i]
-        return read
-    if isinstance(operand, Imm):
-        v = operand.value
-
-        def read(m, t):
-            return v
-        return read
-    ea = _ea_fn(operand)
-    size = operand.size
-    if traced:
-        def read(m, t):
-            addr = ea(t)
-            m.mem_events += 1
-            m.hooks.on_mem(t.tid, slot, False, addr, size)
-            return m.memory.load(addr, size)
-    else:
-        def read(m, t):
-            m.mem_events += 1
-            return m.memory.load(ea(t), size)
-    return read
-
-
-def _writer(operand, slot: int, traced: bool):
-    """A closure mirroring ``Machine._write`` for one pre-decoded operand."""
-    if isinstance(operand, Reg):
-        i = operand.index
-
-        def write(m, t, value):
-            t.regs[i] = value
-        return write
-    if isinstance(operand, Imm):
-        def write(m, t, value):
-            raise MachineError("cannot write to an immediate")
-        return write
-    ea = _ea_fn(operand)
-    size = operand.size
-    if traced:
-        def write(m, t, value):
-            addr = ea(t)
-            m.mem_events += 1
-            m.hooks.on_mem(t.tid, slot, True, addr, size)
-            m.memory.store(addr, value, size)
-    else:
-        def write(m, t, value):
-            m.mem_events += 1
-            m.memory.store(ea(t), value, size)
-    return write
+def kernel_stats(table: Dict[BasicBlock, BlockKernels]) -> Dict[str, int]:
+    """Blocks with a bound kernel, and bound kernels in all."""
+    counts = [kernels.bound() for kernels in table.values()]
+    return {"blocks": sum(1 for c in counts if c), "kernels": sum(counts)}
 
 
 # ----------------------------------------------------------------------
-# Per-opcode lowering.  Every handler replicates its seed counterpart's
-# effects in the seed's exact order (hooks, counters, state updates).
+# What every kernel's globals hold besides the block's bound values.
 
-def _c_mov(instr, slot, traced):
-    dst, src = instr.operands
-    if isinstance(dst, Reg):
-        di = dst.index
-        if isinstance(src, Reg):
-            si = src.index
+def _fault(machine, thread, i: int, counted_from: int, events: int) -> None:
+    """A kernel's exception path, before it re-raises.
 
-            def h(m, t):
-                t.regs[di] = t.regs[si]
-                t.idx += 1
-                t.instructions_executed += 1
-            return h
-        if isinstance(src, Imm):
-            v = src.value
-
-            def h(m, t):
-                t.regs[di] = v
-                t.idx += 1
-                t.instructions_executed += 1
-            return h
-        # Load: Mem -> Reg.
-        ea = _ea_fn(src)
-        size = src.size
-        if traced:
-            def h(m, t):
-                addr = ea(t)
-                m.mem_events += 1
-                m.hooks.on_mem(t.tid, slot, False, addr, size)
-                t.regs[di] = m.memory.load(addr, size)
-                t.idx += 1
-                t.instructions_executed += 1
-        else:
-            def h(m, t):
-                m.mem_events += 1
-                t.regs[di] = m.memory.load(ea(t), size)
-                t.idx += 1
-                t.instructions_executed += 1
-        return h
-    if isinstance(dst, Mem) and not isinstance(src, Mem):
-        # Store: Reg/Imm -> Mem.
-        read = _reader(src, slot, traced)
-        ea = _ea_fn(dst)
-        size = dst.size
-        if traced:
-            def h(m, t):
-                value = read(m, t)
-                addr = ea(t)
-                m.mem_events += 1
-                m.hooks.on_mem(t.tid, slot, True, addr, size)
-                m.memory.store(addr, value, size)
-                t.idx += 1
-                t.instructions_executed += 1
-        else:
-            def h(m, t):
-                value = read(m, t)
-                m.mem_events += 1
-                m.memory.store(ea(t), value, size)
-                t.idx += 1
-                t.instructions_executed += 1
-        return h
-    read = _reader(src, slot, traced)
-    write = _writer(dst, slot, traced)
-
-    def h(m, t):
-        write(m, t, read(m, t))
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_lea(instr, slot, traced):
-    dst, src = instr.operands
-    di = dst.index
-    ea = _ea_fn(src)
-
-    def h(m, t):
-        t.regs[di] = ea(t)
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_binary(instr, slot, traced):
-    dst, a, b = instr.operands
-    fn = semantics.BINARY[instr.op]
-    safe = instr.op not in semantics.RAISES_ZERO_DIVIDE
-    if safe and isinstance(dst, Reg) and isinstance(a, Reg):
-        di, ai = dst.index, a.index
-        if isinstance(b, Reg):
-            bi = b.index
-
-            def h(m, t):
-                r = t.regs
-                r[di] = fn(r[ai], r[bi])
-                t.idx += 1
-                t.instructions_executed += 1
-            return h
-        if isinstance(b, Imm):
-            bv = b.value
-
-            def h(m, t):
-                r = t.regs
-                r[di] = fn(r[ai], bv)
-                t.idx += 1
-                t.instructions_executed += 1
-            return h
-    ra = _reader(a, slot, traced)
-    rb = _reader(b, slot, traced)
-    write = _writer(dst, slot, traced)
-
-    def h(m, t):
-        try:
-            result = fn(ra(m, t), rb(m, t))
-        except ZeroDivisionError as exc:
-            raise MachineError(str(exc)) from None
-        write(m, t, result)
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_unary(instr, slot, traced):
-    dst, a = instr.operands
-    fn = semantics.UNARY[instr.op]
-    if isinstance(dst, Reg) and isinstance(a, Reg):
-        di, ai = dst.index, a.index
-
-        def h(m, t):
-            r = t.regs
-            r[di] = fn(r[ai])
-            t.idx += 1
-            t.instructions_executed += 1
-        return h
-    ra = _reader(a, slot, traced)
-    write = _writer(dst, slot, traced)
-
-    def h(m, t):
-        write(m, t, fn(ra(m, t)))
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_cmov(instr, slot, traced):
-    dst, src = instr.operands
-    test = semantics.CMOV_TEST[instr.op]
-    di = dst.index
-    if isinstance(src, Reg):
-        si = src.index
-
-        def h(m, t):
-            if test(t.flags):
-                t.regs[di] = t.regs[si]
-            t.idx += 1
-            t.instructions_executed += 1
-        return h
-    read = _reader(src, slot, traced)
-
-    def h(m, t):
-        if test(t.flags):
-            t.regs[di] = read(m, t)
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_cmp(instr, slot, traced):
-    a, b = instr.operands
-    if isinstance(a, Reg) and isinstance(b, Reg):
-        ai, bi = a.index, b.index
-
-        def h(m, t):
-            r = t.regs
-            av = r[ai]
-            bv = r[bi]
-            t.flags = (av > bv) - (av < bv)
-            t.idx += 1
-            t.instructions_executed += 1
-        return h
-    if isinstance(a, Reg) and isinstance(b, Imm):
-        ai, bv = a.index, b.value
-
-        def h(m, t):
-            av = t.regs[ai]
-            t.flags = (av > bv) - (av < bv)
-            t.idx += 1
-            t.instructions_executed += 1
-        return h
-    ra = _reader(a, slot, traced)
-    rb = _reader(b, slot, traced)
-
-    def h(m, t):
-        av = ra(m, t)
-        bv = rb(m, t)
-        t.flags = (av > bv) - (av < bv)
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_jmp(program, instr, traced):
-    target = program.block_by_addr[instr.target]
-    if traced:
-        def h(m, t):
-            t.instructions_executed += 1
-            t.block = target
-            t.idx = 0
-            m.hooks.on_block(t.tid, target)
-    else:
-        def h(m, t):
-            t.instructions_executed += 1
-            t.block = target
-            t.idx = 0
-    return h
-
-
-def _c_jcc(program, block, instr, traced):
-    test = semantics.JCC_TEST[instr.op]
-    target = program.block_by_addr[instr.target]
-    fallthrough = program.next_block(block)
-    if traced:
-        def h(m, t):
-            t.instructions_executed += 1
-            if test(t.flags):
-                t.block = target
-                t.idx = 0
-                m.hooks.on_block(t.tid, target)
-            else:
-                if fallthrough is None:
-                    raise MachineError(
-                        "conditional branch falls off function end"
-                    )
-                t.block = fallthrough
-                t.idx = 0
-                m.hooks.on_block(t.tid, fallthrough)
-    else:
-        def h(m, t):
-            t.instructions_executed += 1
-            if test(t.flags):
-                t.block = target
-                t.idx = 0
-            else:
-                if fallthrough is None:
-                    raise MachineError(
-                        "conditional branch falls off function end"
-                    )
-                t.block = fallthrough
-                t.idx = 0
-    return h
-
-
-def _c_call(program, block, instr, slot, traced):
-    from .machine import _Frame
-
-    dst = instr.operands[0]
-    dst_index = dst.index if dst is not None else None
-    arg_readers = [_reader(a, slot, traced) for a in instr.operands[1:]]
-    callee_block = program.block_by_addr[instr.target]
-    callee = callee_block.function
-    caller_name = block.function.name
-    ret_block = program.next_block(block)
-    frame_size = callee.frame_size
-    num_regs = callee.num_regs
-    callee_name = callee.name
-    if len(arg_readers) != callee.num_args:
-        message = (
-            f"call to {callee.name} with {len(arg_readers)} args, "
-            f"expects {callee.num_args}"
-        )
-
-        def h(m, t):
-            raise MachineError(message)
-        return h
-
-    def h(m, t):
-        args = [read(m, t) for read in arg_readers]
-        t.instructions_executed += 1
-        t.frames.append(
-            _Frame(ret_block, 0, t.regs, t.sp, dst_index, caller_name)
-        )
-        sp = t.sp - frame_size
-        t.sp = sp
-        regs = [0] * num_regs
-        regs[0] = sp
-        i = 1
-        for value in args:
-            regs[i] = value
-            i += 1
-        t.regs = regs
-        if traced:
-            m.hooks.on_call(t.tid, callee_name)
-        t.block = callee_block
-        t.idx = 0
-        if traced:
-            m.hooks.on_block(t.tid, callee_block)
-    return h
-
-
-def _c_ret(instr, slot, traced):
-    from .machine import ThreadContext
-
-    done = ThreadContext.DONE
-    read = (
-        _reader(instr.operands[0], slot, traced) if instr.operands else None
-    )
-
-    def h(m, t):
-        value = read(m, t) if read is not None else 0
-        t.instructions_executed += 1
-        if traced:
-            m.hooks.on_ret(t.tid)
-        frames = t.frames
-        if not frames:
-            t.retval = value
-            t.state = done
-            m._n_done += 1
-            if traced:
-                m.hooks.on_thread_end(t.tid)
-            return
-        frame = frames.pop()
-        t.regs = frame.regs
-        t.sp = frame.sp
-        if frame.dst is not None:
-            t.regs[frame.dst] = value
-        if frame.block is None:
-            raise MachineError(
-                "call site at end of function has no return point"
-            )
-        t.block = frame.block
-        t.idx = 0
-        if traced:
-            m.hooks.on_block(t.tid, frame.block)
-    return h
-
-
-def _c_halt(instr, traced):
-    from .machine import ThreadContext
-
-    done = ThreadContext.DONE
-
-    def h(m, t):
-        t.instructions_executed += 1
-        t.state = done
-        m._n_done += 1
-        if traced:
-            m.hooks.on_thread_end(t.tid)
-    return h
-
-
-def _c_xchg(instr, slot, traced):
-    dst, mem = instr.operands
-    di = dst.index
-    ea = _ea_fn(mem)
-    size = mem.size
-
-    def h(m, t):
-        addr = ea(t)
-        memory = m.memory
-        old = memory.load(addr, size)
-        m.mem_events += 2
-        if traced:
-            m.hooks.on_mem(t.tid, slot, False, addr, size)
-            m.hooks.on_mem(t.tid, slot, True, addr, size)
-        memory.store(addr, t.regs[di], size)
-        t.regs[di] = old
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_aadd(instr, slot, traced):
-    dst, mem, src = instr.operands
-    di = dst.index if dst is not None else None
-    ea = _ea_fn(mem)
-    size = mem.size
-    read = _reader(src, slot, traced)
-
-    def h(m, t):
-        addr = ea(t)
-        memory = m.memory
-        old = memory.load(addr, size)
-        m.mem_events += 2
-        if traced:
-            m.hooks.on_mem(t.tid, slot, False, addr, size)
-            m.hooks.on_mem(t.tid, slot, True, addr, size)
-        memory.store(addr, old + read(m, t), size)
-        if di is not None:
-            t.regs[di] = old
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_ioread(instr, traced):
-    di = instr.operands[0].index
-
-    def h(m, t):
-        pos = t.io_pos
-        io = t.io_in
-        if pos < len(io):
-            t.regs[di] = io[pos]
-            t.io_pos = pos + 1
-        else:
-            t.regs[di] = 0
-        if traced:
-            m.hooks.on_skip(t.tid, m.io_cost, "io")
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_iowrite(instr, slot, traced):
-    read = _reader(instr.operands[0], slot, traced)
-
-    def h(m, t):
-        t.io_out.append(read(m, t))
-        if traced:
-            m.hooks.on_skip(t.tid, m.io_cost, "io")
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_nop(instr):
-    def h(m, t):
-        t.idx += 1
-        t.instructions_executed += 1
-    return h
-
-
-def _c_delegate(instr: Instruction, method):
-    """Fall back to the seed interpreter's method for rare opcodes.
-
-    Used for the blocking synchronization terminators (LOCK / UNLOCK /
-    BARRIER), whose scheduler interplay lives in the machine itself.
+    ``i`` is the failing slot, or ``~slot`` when that slot's count was
+    already committed (a terminator's hooks or its fall-off check).
+    The thread is left at the failing slot with the instructions before
+    it counted, ``mem_events`` gets the events not yet added, and the
+    slot goes to ``machine._fault_at`` for the scheduler's total.
     """
-    def h(m, t):
-        method(m, t, instr)
-    return h
+    if i >= 0:
+        thread.idx = i
+        thread.instructions_executed += i - counted_from
+        machine.mem_events += events
+        machine._fault_at = i
+    else:
+        machine._fault_at = ~i
 
 
-_SEED_DISPATCH = None
+#: The interpreter's ``Op -> Machine._op_*`` table (delegated slots).
+_SEED_DISPATCH = Machine._build_dispatch(Machine)
+#: The names every kernel's globals share.
+_BASE_ENV = {"__builtins__": builtins.__dict__, "ME": MachineError,
+             "FR": _Frame, "DONE": ThreadContext.DONE, "FAULT": _fault}
 
 
-def _seed_dispatch():
-    """The seed interpreter's Op -> method table (coverage fallback)."""
-    global _SEED_DISPATCH
-    if _SEED_DISPATCH is None:
-        from .machine import Machine
-        _SEED_DISPATCH = Machine._build_dispatch(Machine)
-    return _SEED_DISPATCH
+# ----------------------------------------------------------------------
+# Describing a block: per-instruction shapes plus the bound values.
+
+_IMM = ("i",)
 
 
-def _compile_instruction(program: Program, block, instr: Instruction,
-                         slot: int, traced: bool) -> Handler:
-    from .machine import Machine
+def _operand(operand, k: int, o: int, env: dict):
+    """The shape of operand ``o`` of slot ``k``; binds its values.
 
-    op = instr.op
-    if op == Op.MOV:
-        return _c_mov(instr, slot, traced)
-    if op == Op.LEA:
-        return _c_lea(instr, slot, traced)
-    if op in semantics.BINARY:
-        return _c_binary(instr, slot, traced)
-    if op in semantics.UNARY:
-        return _c_unary(instr, slot, traced)
-    if op in semantics.CMOV_TEST:
-        return _c_cmov(instr, slot, traced)
-    if op in (Op.CMP, Op.FCMP):
-        return _c_cmp(instr, slot, traced)
-    if op == Op.JMP:
-        return _c_jmp(program, instr, traced)
-    if op in semantics.JCC_TEST:
-        return _c_jcc(program, block, instr, traced)
-    if op == Op.CALL:
-        return _c_call(program, block, instr, slot, traced)
-    if op == Op.RET:
-        return _c_ret(instr, slot, traced)
-    if op == Op.HALT:
-        return _c_halt(instr, traced)
-    if op == Op.XCHG:
-        return _c_xchg(instr, slot, traced)
-    if op == Op.AADD:
-        return _c_aadd(instr, slot, traced)
-    if op == Op.IOREAD:
-        return _c_ioread(instr, traced)
-    if op == Op.IOWRITE:
-        return _c_iowrite(instr, slot, traced)
-    if op == Op.NOP:
-        return _c_nop(instr)
-    if op == Op.LOCK:
-        return _c_delegate(instr, Machine._op_lock)
-    if op == Op.UNLOCK:
-        return _c_delegate(instr, Machine._op_unlock)
-    if op == Op.BARRIER:
-        return _c_delegate(instr, Machine._op_barrier)
-    # Any future opcode executes through the seed dispatch table, so the
-    # compiled engine can never silently diverge in coverage.
-    return _c_delegate(instr, _seed_dispatch()[op])
+    ``None`` when the operand fits no generated form (the instruction is
+    then delegated to the interpreter).
+    """
+    kind = type(operand)
+    if kind is Reg:
+        index = operand.index
+        return ("r", index) if type(index) is int else None
+    if kind is Imm:
+        env[f"v{k}_{o}"] = operand.value
+        return _IMM
+    if kind is not Mem:
+        return None
+    base = operand.base
+    if base is not None:
+        if type(base) is not Reg or type(base.index) is not int:
+            return None
+        base = base.index
+    index = operand.index
+    if index is not None:
+        if type(index) is not Reg or type(index.index) is not int:
+            return None
+        index = index.index
+        env[f"s{k}_{o}"] = operand.scale
+    if type(operand.size) is not int:
+        return None
+    env[f"d{k}_{o}"] = operand.disp
+    return ("m", base, index, operand.size)
 
 
-__all__ = ["block_handlers"]
+def _register(operand) -> Optional[int]:
+    """The index of a plain register operand, else ``None``."""
+    if type(operand) is Reg and type(operand.index) is int:
+        return operand.index
+    return None
+
+
+def _fixed(kind: str, count: int):
+    """Describer of an opcode over exactly ``count`` generic operands."""
+    def describe(program, block, k, instr, env):
+        operands = instr.operands
+        if len(operands) != count:
+            return None
+        shapes = [_operand(op, k, o, env) for o, op in enumerate(operands)]
+        if None in shapes:
+            return None
+        return (kind, int(instr.op)) + tuple(shapes)
+    return describe
+
+
+def _d_scalar(kind: str, count: int, inline: Dict[Op, str]):
+    """Describer of a BINARY/UNARY opcode; binds its semantics function."""
+    generic = _fixed(kind, count)
+
+    def describe(program, block, k, instr, env):
+        if instr.op not in inline:
+            env[f"f{k}"] = semantics.scalar_fn(instr.op)
+        return generic(program, block, k, instr, env)
+    return describe
+
+
+def _d_reg_mem(kind: str):
+    """Describer of ``op reg, mem`` (LEA, XCHG)."""
+    def describe(program, block, k, instr, env):
+        operands = instr.operands
+        if len(operands) != 2:
+            return None
+        dst = _register(operands[0])
+        mem = _operand(operands[1], k, 1, env)
+        if dst is None or mem is None or mem[0] != "m":
+            return None
+        return (kind, dst, mem)
+    return describe
+
+
+def _d_cmov(program, block, k, instr, env):
+    operands = instr.operands
+    if len(operands) != 2:
+        return None
+    dst = _register(operands[0])
+    src = _operand(operands[1], k, 1, env)
+    if dst is None or src is None:
+        return None
+    return ("cmov", int(instr.op), dst, src)
+
+
+def _d_aadd(program, block, k, instr, env):
+    operands = instr.operands
+    if len(operands) != 3:
+        return None
+    dst = operands[0]
+    if dst is not None:
+        dst = _register(dst)
+        if dst is None:
+            return None
+    mem = _operand(operands[1], k, 1, env)
+    src = _operand(operands[2], k, 2, env)
+    if mem is None or mem[0] != "m" or src is None:
+        return None
+    return ("aadd", dst, mem, src)
+
+
+def _d_ioread(program, block, k, instr, env):
+    operands = instr.operands
+    dst = _register(operands[0]) if len(operands) == 1 else None
+    return ("ioread", dst) if dst is not None else None
+
+
+def _d_bare(kind: str):
+    shape = (kind,)
+    return lambda program, block, k, instr, env: shape
+
+
+def _d_branch(program, block, k, instr, env):
+    target = program.block_by_addr.get(instr.target)
+    if target is None:
+        return None
+    env[f"T{k}"] = target
+    if instr.op == Op.JMP:
+        return ("jmp",)
+    fallthrough = program.next_block(block)
+    env[f"N{k}"] = fallthrough
+    return ("jcc", int(instr.op), fallthrough is not None)
+
+
+def _d_call(program, block, k, instr, env):
+    operands = instr.operands
+    if not operands:
+        return None
+    dst = operands[0]
+    if dst is not None:
+        dst = _register(dst)
+        if dst is None:
+            return None
+    callee_block = program.block_by_addr.get(instr.target)
+    if callee_block is None:
+        return None
+    callee = callee_block.function
+    args = tuple(_operand(a, k, o, env)
+                 for o, a in enumerate(operands[1:], start=1))
+    # A wrong argument count, or a callee frame too small for its
+    # arguments, fails inside the interpreter's CALL: delegate so the
+    # failure happens at the same point.
+    if (None in args or len(args) != callee.num_args
+            or callee.num_regs < 1 + len(args)):
+        return None
+    env[f"B{k}"] = callee_block
+    env[f"R{k}"] = program.next_block(block)
+    env[f"FS{k}"] = callee.frame_size
+    env[f"NR{k}"] = callee.num_regs
+    env[f"CN{k}"] = callee.name
+    env[f"FN{k}"] = block.function.name
+    return ("call", dst, args)
+
+
+def _d_ret(program, block, k, instr, env):
+    if not instr.operands:
+        return ("ret", None)
+    value = _operand(instr.operands[0], k, 0, env)
+    return ("ret", value) if value is not None else None
+
+
+#: ``Op -> describer(program, block, slot, instr, env) -> shape | None``
+#: (``None``: the slot runs through the interpreter's method).
+_DESCRIBE = {
+    Op.MOV: _fixed("mov", 2),
+    Op.LEA: _d_reg_mem("lea"),
+    Op.CMP: _fixed("cmp", 2),
+    Op.FCMP: _fixed("cmp", 2),
+    Op.XCHG: _d_reg_mem("xchg"),
+    Op.AADD: _d_aadd,
+    Op.IOREAD: _d_ioread,
+    Op.IOWRITE: _fixed("iowrite", 1),
+    Op.NOP: _d_bare("nop"),
+    Op.HALT: _d_bare("halt"),
+    Op.JMP: _d_branch,
+    Op.CALL: _d_call,
+    Op.RET: _d_ret,
+}
+_DESCRIBE.update({op: _d_scalar("bin", 3, INLINE_BINARY)
+                  for op in semantics.BINARY})
+_DESCRIBE.update({op: _d_scalar("un", 2, INLINE_UNARY)
+                  for op in semantics.UNARY})
+_DESCRIBE.update({op: _d_cmov for op in semantics.CMOV_TEST})
+_DESCRIBE.update({op: _d_branch for op in semantics.JCC_TEST})
+
+
+def _describe_block(program: Program,
+                    block: BasicBlock) -> Tuple[tuple, dict]:
+    """Per-slot shapes of ``block`` and the block's globals dict."""
+    env = dict(_BASE_ENV)
+    shapes = []
+    for k, instr in enumerate(block.instructions):
+        describe = _DESCRIBE.get(instr.op)
+        shape = describe and describe(program, block, k, instr, env)
+        if shape is None:
+            env[f"X{k}"] = _SEED_DISPATCH[instr.op]
+            env[f"I{k}"] = instr
+            shape = ("delegate", instr.op in BLOCK_TERMINATORS)
+        shapes.append(shape)
+    return tuple(shapes), env
+
+
+# ----------------------------------------------------------------------
+# Generating a kernel from a range shape.
+
+_TERMINATOR_SHAPES = frozenset({"jmp", "jcc", "call", "ret", "halt"})
+
+
+class _Emitter:
+    """Writes one kernel's source.
+
+    Locals of the generated function: ``r`` (``t.regs``), ``tid``,
+    ``hk`` (the hooks), ``mem`` (the memory), ``me`` (memory events not
+    yet added to ``m.mem_events``), ``i`` (slot of the current
+    instruction, ``~slot`` once its count is committed) and ``s`` (the
+    slot ``t.instructions_executed`` is counted from, after a delegate).
+    """
+
+    def __init__(self, traced: bool, start: int) -> None:
+        self.traced = traced
+        self.start = start
+        self.lines: List[str] = []
+        self.depth = 2
+        #: Whether the kernel touches memory (the ``mem``/``me`` locals).
+        self.uses_mem = False
+        self.uses_hooks = False
+        self.delegates = False
+        #: Slot the static count starts from (moves past a delegate).
+        self.seg = start
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def hook(self, call: str) -> None:
+        if self.traced:
+            self.uses_hooks = True
+            self.line(f"hk.{call}")
+
+    def ea(self, k: int, o: int, shape) -> str:
+        """The effective address, in ``Machine._ea``'s order."""
+        _m, base, index, _size = shape
+        expr = f"d{k}_{o}"
+        if base is not None:
+            expr += f" + r[{base}]"
+        if index is not None:
+            expr += f" + r[{index}] * s{k}_{o}"
+        return expr
+
+    def access(self, k: int, o: int, shape, is_store: bool, addr: str,
+               value: str = "") -> None:
+        """One counted, hooked load/store (``Machine._read``/``_write``)."""
+        size = shape[3]
+        self.uses_mem = True
+        self.line(f"{addr} = {self.ea(k, o, shape)}")
+        self.line("me += 1")
+        self.hook(f"on_mem(tid, {k}, {is_store}, {addr}, {size})")
+        if is_store:
+            self.line(f"mem.store({addr}, {value}, {size})")
+
+    def read(self, k: int, o: int, shape, tmp: str, addr: str = "a") -> str:
+        """An expression for operand ``o``; memory lands in ``tmp``."""
+        kind = shape[0]
+        if kind == "r":
+            return f"r[{shape[1]}]"
+        if kind == "i":
+            return f"v{k}_{o}"
+        self.access(k, o, shape, False, addr)
+        self.line(f"{tmp} = mem.load({addr}, {shape[3]})")
+        return tmp
+
+    def write(self, k: int, o: int, shape, value: str) -> None:
+        """Store ``value`` (evaluated first) into operand ``o``."""
+        kind = shape[0]
+        if kind == "r":
+            self.line(f"r[{shape[1]}] = {value}")
+            return
+        if value != "y":
+            self.line(f"y = {value}")
+        if kind == "i":
+            self.line('raise ME("cannot write to an immediate")')
+            return
+        self.access(k, o, shape, True, "a", "y")
+
+    # -- instructions ----------------------------------------------------
+
+    def instruction(self, k: int, shape) -> None:
+        getattr(self, "_" + shape[0])(k, shape)
+
+    def _mov(self, k, shape):
+        _t, _op, dst, src = shape
+        if dst[0] == "r" and src[0] == "m":
+            # A load: the value goes straight into the register.
+            self.access(k, 1, src, False, "a")
+            self.line(f"r[{dst[1]}] = mem.load(a, {src[3]})")
+            return
+        self.write(k, 0, dst, self.read(k, 1, src, "x"))
+
+    def _lea(self, k, shape):
+        _t, dst, mem = shape
+        self.line(f"r[{dst}] = {self.ea(k, 1, mem)}")
+
+    def _bin(self, k, shape):
+        _t, op, dst, a, b = shape
+        op = Op(op)
+        guarded = op in semantics.RAISES_ZERO_DIVIDE
+        if guarded:
+            self.line("try:")
+            self.depth += 1
+        x = self.read(k, 1, a, "x")
+        if a[0] == "r" and b[0] == "m":
+            # Read the register before the memory operand, as
+            # ``Machine._read`` does (an out-of-range index fails first).
+            self.line(f"x = {x}")
+            x = "x"
+        z = self.read(k, 2, b, "z", "b")
+        template = INLINE_BINARY.get(op)
+        expr = template.format(x, z) if template else f"f{k}({x}, {z})"
+        if guarded:
+            self.line(f"y = {expr}")
+            self.depth -= 1
+            self.line("except ZeroDivisionError as exc:")
+            self.line("    raise ME(str(exc)) from None")
+            expr = "y"
+        self.write(k, 0, dst, expr)
+
+    def _un(self, k, shape):
+        _t, op, dst, a = shape
+        x = self.read(k, 1, a, "x")
+        template = INLINE_UNARY.get(Op(op))
+        self.write(k, 0, dst, template.format(x) if template
+                   else f"f{k}({x})")
+
+    def _cmov(self, k, shape):
+        _t, op, dst, src = shape
+        self.line(f"if {INLINE_TEST[Op(op)].format('t.flags')}:")
+        self.depth += 1
+        self.line(f"r[{dst}] = {self.read(k, 1, src, 'x')}")
+        self.depth -= 1
+
+    def _cmp(self, k, shape):
+        _t, _op, a, b = shape
+        self.line(f"p = {self.read(k, 0, a, 'x')}")
+        self.line(f"q = {self.read(k, 1, b, 'z', 'b')}")
+        self.line(f"t.flags = {INLINE_COMPARE.format('p', 'q')}")
+
+    def _xchg(self, k, shape):
+        _t, dst, mem = shape
+        size = mem[3]
+        self.uses_mem = True
+        self.line(f"a = {self.ea(k, 1, mem)}")
+        self.line(f"x = mem.load(a, {size})")
+        self.line("me += 2")
+        self.hook(f"on_mem(tid, {k}, False, a, {size})")
+        self.hook(f"on_mem(tid, {k}, True, a, {size})")
+        self.line(f"mem.store(a, r[{dst}], {size})")
+        self.line(f"r[{dst}] = x")
+
+    def _aadd(self, k, shape):
+        _t, dst, mem, src = shape
+        size = mem[3]
+        self.uses_mem = True
+        self.line(f"a = {self.ea(k, 1, mem)}")
+        self.line(f"w = mem.load(a, {size})")
+        self.line("me += 2")
+        self.hook(f"on_mem(tid, {k}, False, a, {size})")
+        self.hook(f"on_mem(tid, {k}, True, a, {size})")
+        value = self.read(k, 2, src, "x", "b")
+        self.line(f"mem.store(a, w + {value}, {size})")
+        if dst is not None:
+            self.line(f"r[{dst}] = w")
+
+    def _ioread(self, k, shape):
+        dst = shape[1]
+        self.line("p = t.io_pos")
+        self.line("q = t.io_in")
+        self.line("if p < len(q):")
+        self.line(f"    r[{dst}] = q[p]")
+        self.line("    t.io_pos = p + 1")
+        self.line("else:")
+        self.line(f"    r[{dst}] = 0")
+        self.hook('on_skip(tid, m.io_cost, "io")')
+
+    def _iowrite(self, k, shape):
+        self.line(f"t.io_out.append({self.read(k, 0, shape[2], 'x')})")
+        self.hook('on_skip(tid, m.io_cost, "io")')
+
+    def _nop(self, k, shape):
+        pass
+
+    def _delegate(self, k, shape):
+        """Run slot ``k`` through ``Machine._op_*`` mid-range."""
+        self.delegates = True
+        self.flush(k)
+        self.line(f"s = {k}")
+        self.line(f"X{k}(m, t, I{k})")
+        self.line(f"s = {k + 1}")
+        self.seg = k + 1
+
+    def flush(self, k: int) -> None:
+        """Bring ``t.idx``, the count and ``mem_events`` up to slot ``k``."""
+        if k != self.start:
+            self.line(f"t.idx = {k}")
+        if k > self.seg:
+            self.line(f"t.instructions_executed += {k - self.seg}")
+        if self.uses_mem:
+            self.line("m.mem_events += me")
+            self.line("me = 0")
+
+    # -- terminators -------------------------------------------------------
+
+    def commit(self, k: int) -> None:
+        """Count slots up to and including terminator ``k``."""
+        if self.uses_mem:
+            self.line("m.mem_events += me")
+        self.line(f"t.instructions_executed += {k - self.seg + 1}")
+        self.line(f"i = {~k}")
+
+    def enter(self, block: str) -> None:
+        """``Machine._enter_block``."""
+        self.line(f"t.block = {block}")
+        self.line("t.idx = 0")
+        self.hook(f"on_block(tid, {block})")
+
+    def terminator(self, k: int, shape) -> None:
+        kind = shape[0]
+        reads = shape[2] if kind == "call" else (
+            kind == "ret" and shape[1] is not None)
+        if reads and k != self.start:
+            # Its operand reads can fail before its count is committed.
+            self.line(f"i = {k}")
+        if kind == "call":
+            _t, dst, args = shape
+            for o, arg in enumerate(args, start=1):
+                value = self.read(k, o, arg, f"g{o}")
+                if value != f"g{o}":
+                    self.line(f"g{o} = {value}")
+        elif kind == "ret" and shape[1] is not None:
+            value = self.read(k, 0, shape[1], "v")
+            if value != "v":
+                self.line(f"v = {value}")
+        self.commit(k)
+        here = f"t.idx = {k}" if k != self.start else ""
+        if kind == "jmp":
+            self.enter(f"T{k}")
+        elif kind == "jcc":
+            _t, op, has_fallthrough = shape
+            self.line(f"if {INLINE_TEST[Op(op)].format('t.flags')}:")
+            self.depth += 1
+            self.enter(f"T{k}")
+            self.depth -= 1
+            self.line("else:")
+            self.depth += 1
+            if has_fallthrough:
+                self.enter(f"N{k}")
+            else:
+                if here:
+                    self.line(here)
+                self.line('raise ME("conditional branch falls off '
+                          'function end")')
+            self.depth -= 1
+        elif kind == "call":
+            dst = shape[1]
+            self.line(f"t.frames.append(FR(R{k}, 0, r, t.sp, {dst!r}, "
+                      f"FN{k}))")
+            self.line(f"sp = t.sp - FS{k}")
+            self.line("t.sp = sp")
+            self.line(f"nr = [0] * NR{k}")
+            self.line("nr[0] = sp")
+            for o in range(1, len(shape[2]) + 1):
+                self.line(f"nr[{o}] = g{o}")
+            self.line("t.regs = nr")
+            if self.traced and here:
+                self.line(here)
+            self.hook(f"on_call(tid, CN{k})")
+            self.enter(f"B{k}")
+        elif kind == "ret":
+            self._ret(shape, here)
+        else:  # halt
+            if here:
+                self.line(here)
+            self.line("t.state = DONE")
+            self.line("m._n_done += 1")
+            self.hook("on_thread_end(tid)")
+
+    def _ret(self, shape, here: str) -> None:
+        value = "v" if shape[1] is not None else "0"
+        if self.traced and here:
+            self.line(here)
+            here = ""
+        self.hook("on_ret(tid)")
+        self.line("frames = t.frames")
+        self.line("if not frames:")
+        self.depth += 1
+        if here:
+            self.line(here)
+        self.line(f"t.retval = {value}")
+        self.line("t.state = DONE")
+        self.line("m._n_done += 1")
+        self.hook("on_thread_end(tid)")
+        self.line("return")
+        self.depth -= 1
+        self.line("f = frames.pop()")
+        self.line("r = f.regs")
+        self.line("t.regs = r")
+        self.line("t.sp = f.sp")
+        self.line("if f.dst is not None:")
+        self.line(f"    r[f.dst] = {value}")
+        self.line("b = f.block")
+        self.line("if b is None:")
+        if here:
+            self.line(f"    {here}")
+        self.line('    raise ME("call site at end of function has no '
+                  'return point")')
+        self.enter("b")
+
+    def terminal_delegate(self, k: int) -> None:
+        """LOCK/UNLOCK/BARRIER (or an odd terminator) via the interpreter."""
+        self.flush(k)
+        self.line(f"i = {~k}")
+        self.line(f"X{k}(m, t, I{k})")
+
+
+def _kernel_source(traced: bool, start: int, shapes: tuple) -> str:
+    """The source of the kernel running ``shapes`` from slot ``start``."""
+    em = _Emitter(traced, start)
+    stop = start + len(shapes)
+    last = shapes[-1]
+    ends = last[0] in _TERMINATOR_SHAPES or last == ("delegate", True)
+    body = shapes[:-1] if ends else shapes
+    for k, shape in enumerate(body, start=start):
+        if k != start:
+            em.line(f"i = {k}")
+        em.instruction(k, shape)
+    if ends:
+        if last[0] == "delegate":
+            em.terminal_delegate(stop - 1)
+        else:
+            em.terminator(stop - 1, last)
+    body_lines = em.lines or ["        pass"]
+
+    head = ["def kernel(m, t):", "    r = t.regs"]
+    if em.uses_hooks:
+        head += ["    tid = t.tid", "    hk = m.hooks"]
+    if em.uses_mem:
+        head += ["    mem = m.memory", "    me = 0"]
+    head.append(f"    i = {start}")
+    if em.delegates:
+        head.append(f"    s = {start}")
+    counted_from = "s" if em.delegates else str(start)
+    events = "me" if em.uses_mem else "0"
+    handler = ["    except BaseException:",
+               f"        FAULT(m, t, i, {counted_from}, {events})",
+               "        raise"]
+    tail = []
+    if not ends:
+        if em.uses_mem:
+            tail.append("    m.mem_events += me")
+        if stop > em.seg:
+            tail.append(f"    t.instructions_executed += {stop - em.seg}")
+        tail.append(f"    t.idx = {stop}")
+    return "\n".join(head + ["    try:"] + body_lines + handler + tail) + "\n"
+
+
+class _BlockCodes(dict):
+    """``(start, stop) -> code`` for one block shape, compiled on demand."""
+
+    __slots__ = ("traced", "shapes")
+
+    def __init__(self, traced: bool, shapes: tuple) -> None:
+        super().__init__()
+        self.traced = traced
+        self.shapes = shapes
+
+    def compile(self, start: int, stop: int) -> types.CodeType:
+        source = _kernel_source(self.traced, start, self.shapes[start:stop])
+        module = compile(source, f"<kernel {start}:{stop}>", "exec")
+        code = self[(start, stop)] = next(
+            c for c in module.co_consts if isinstance(c, types.CodeType))
+        return code
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _block_codes(traced: bool, shapes: tuple) -> _BlockCodes:
+    """The kernel code of one block shape (cached per process).
+
+    Programs built from different seeds share their block shapes, so
+    after the first analysis of a workload every lookup is a hit.
+    """
+    return _BlockCodes(traced, shapes)
+
+
+__all__ = ["BlockKernels", "KERNEL_CACHE_SIZE", "kernel_stats",
+           "kernel_table"]

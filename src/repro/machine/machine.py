@@ -12,12 +12,11 @@ every experiment is reproducible bit-for-bit.
 
 Two execution engines share this scheduler (the ``engine`` knob):
 
-* ``"compiled"`` (default) -- basic blocks run as flat lists of
-  pre-specialized closures produced by the link-time compilation pass in
-  :mod:`repro.machine.compiled`; operands are pre-decoded, so the hot
-  loop performs no dict dispatch and no ``isinstance`` checks, and a
-  no-op-hook fast path skips instrumentation calls entirely under
-  :class:`NullHooks`.
+* ``"compiled"`` (default) -- each scheduling step runs one generated
+  *kernel*, a Python function over a range of a basic block
+  (:mod:`repro.machine.compiled`): operands are decoded once, code is
+  cached by instruction shape and bound per program, and a native
+  variant leaves the hook calls out under :class:`NullHooks`.
 * ``"interp"`` -- the seed interpreter: per-instruction dict dispatch
   with operand decoding in ``_read``/``_write``.
 
@@ -134,9 +133,10 @@ class Machine:
         operation -- these feed the paper's skipped-instruction accounting
         (Fig. 8).
     engine:
-        ``"compiled"`` (default) runs blocks as pre-specialized handler
-        lists (see :mod:`repro.machine.compiled`); ``"interp"`` is the
-        seed dict-dispatch interpreter.  Bit-identical results either way.
+        ``"compiled"`` (default) runs generated block-range kernels (see
+        :mod:`repro.machine.compiled`); ``"interp"`` is the seed
+        dict-dispatch interpreter, kept as the reference.  Bit-identical
+        results either way.
     """
 
     def __init__(self, program: Program, hooks=None, quantum: int = 64,
@@ -170,30 +170,35 @@ class Machine:
         self._barrier_waiting: Dict[int, List[ThreadContext]] = {}
         self._lock_holder: Dict[int, int] = {}
         self._dispatch = self._build_dispatch()
+        #: Slot of the instruction a compiled kernel failed at (set by
+        #: the kernel's exception handler, read by the scheduler).
+        self._fault_at = 0
         if engine == "compiled":
-            from .compiled import block_handlers
-            # The no-op-hook fast path compiles hook calls out entirely;
-            # it applies only to NullHooks itself -- a subclass may
-            # override hooks, so it gets the traced variant.
-            traced = type(self.hooks) is not NullHooks
-            self._handlers = block_handlers(program, traced)
-            self._step_quantum = self._run_quantum_compiled
+            from .compiled import kernel_table
+            # Native kernels leave the hook calls out; they apply only
+            # to NullHooks itself -- a subclass may override hooks, so
+            # it gets the traced variant.
+            self._traced = type(self.hooks) is not NullHooks
+            self._kernels = kernel_table(program, self._traced)
         else:
-            self._handlers = None
-            self._step_quantum = self._run_quantum
+            self._kernels = None
         # Initial program break for the ISA-level allocator: one word past
         # all global data (stdlib malloc reads/updates it under its lock).
         self.brk_addr = program.data_end
 
     def engine_stats(self) -> Dict[str, int]:
-        """Compiled-engine gauges exported as telemetry (``engine.*``)."""
-        if self._handlers is None:
+        """Compiled-engine gauges exported as telemetry (``engine.*``).
+
+        ``blocks`` counts the program's blocks with a bound kernel and
+        ``handlers`` the bound kernels (one per executed block range),
+        for this machine's variant.
+        """
+        if self._kernels is None:
             return {"compiled": 0, "blocks": 0, "handlers": 0}
-        return {
-            "compiled": 1,
-            "blocks": len(self._handlers),
-            "handlers": sum(n for _, n in self._handlers.values()),
-        }
+        from .compiled import kernel_stats
+        stats = kernel_stats(self._kernels)
+        return {"compiled": 1, "blocks": stats["blocks"],
+                "handlers": stats["kernels"]}
 
     # ------------------------------------------------------------------
     # Thread management.
@@ -227,7 +232,11 @@ class Machine:
         done = ThreadContext.DONE
         runnable = ThreadContext.RUNNABLE
         blocked_lock = ThreadContext.BLOCKED_LOCK
-        step_quantum = self._step_quantum
+        # Chosen per run, not stored: a bound method kept on the machine
+        # would make it a reference cycle, alive (with its hooks and
+        # their traces) until the cyclic collector runs.
+        step_quantum = (self._run_quantum if self._kernels is None
+                        else self._run_quantum_compiled)
         live = [t for t in self.threads if t.state != done]
         n_done = self._n_done
         while live:
@@ -274,25 +283,39 @@ class Machine:
     def _run_quantum_compiled(self, thread: ThreadContext) -> None:
         """One scheduling turn on the compiled engine.
 
-        Executes the thread's current block as a tight loop over its
-        pre-specialized handler list -- the handler list is fetched once
-        per block, and the loop exits only on budget exhaustion, a block
-        change (branch/call/ret), or a state change (blocking/finish).
-        Instruction accounting is identical to :meth:`_run_quantum`.
+        Each step runs one kernel over ``[idx, stop)`` of the thread's
+        block, where ``stop`` is the block end clipped by the budget
+        and by the instruction limit (so the step that crosses the
+        limit ends on the instruction that crosses it).  A kernel
+        leaves ``t.idx``/``t.block``/``t.state`` as the interpreter
+        would; on an exception it records the failing slot in
+        ``_fault_at``, and the instruction total then counts only the
+        instructions before it.  Accounting is identical to
+        :meth:`_run_quantum`.
         """
-        budget = self.quantum
-        handlers_by_addr = self._handlers
+        table = self._kernels
         runnable = ThreadContext.RUNNABLE
-        total = self.total_instructions
         limit = self.max_instructions
+        total = self.total_instructions
+        # The budget, or one past the instruction limit if nearer.
+        room = self.quantum
+        if room > limit - total:
+            room = limit - total + 1
+        left = room
         try:
-            while budget > 0 and thread.state == runnable:
+            while left > 0 and thread.state == runnable:
                 block = thread.block
                 idx = thread.idx
-                handlers, n = handlers_by_addr[block.addr]
+                try:
+                    kernels = table[block]
+                except KeyError:
+                    from .compiled import BlockKernels
+                    kernels = table[block] = BlockKernels(
+                        self.program, block, self._traced)
+                n = kernels.n
                 if idx >= n:
                     # Fall through to the next block in layout order.
-                    nxt = self.program.next_block(block)
+                    nxt = kernels.fallthrough
                     if nxt is None:
                         raise MachineError(
                             f"thread {thread.tid} ran off function "
@@ -300,45 +323,25 @@ class Machine:
                         )
                     self._enter_block(thread, nxt)
                     continue
-                avail = n - idx
-                if budget >= avail and avail <= limit - total:
-                    # Whole-block fast path: terminators only sit at a
-                    # block's end, so the remaining handlers run as one
-                    # uninterrupted loop with block-level accounting.
-                    # On an exception the executed count is recovered
-                    # from ``thread.idx`` (every handler advances it
-                    # only on success).
-                    run = handlers if idx == 0 else handlers[idx:]
-                    try:
-                        for handler in run:
-                            handler(self, thread)
-                    except BaseException:
-                        executed = thread.idx - idx
-                        total += executed
-                        budget -= executed
-                        raise
-                    total += avail
-                    budget -= avail
+                stop = idx + left
+                if stop >= n:
+                    stop = n
+                    kernel = kernels.full[idx]
                 else:
-                    # Clipped path: the scheduling budget or the
-                    # instruction limit intervenes mid-block, so run
-                    # instruction-at-a-time with full checks.
-                    while True:
-                        handlers[idx](self, thread)
-                        budget -= 1
-                        total += 1
-                        if total > limit:
-                            raise InstructionLimitError(
-                                f"exceeded {limit} instructions"
-                            )
-                        if (budget == 0 or thread.block is not block
-                                or thread.state != runnable):
-                            break
-                        idx = thread.idx
-                        if idx >= n:
-                            break
+                    kernel = kernels.part.get((idx, stop))
+                if kernel is None:
+                    kernel = kernels.bind(idx, stop)
+                try:
+                    kernel(self, thread)
+                except BaseException:
+                    left -= self._fault_at - idx
+                    raise
+                left -= stop - idx
         finally:
+            total += room - left
             self.total_instructions = total
+        if total > limit:
+            raise InstructionLimitError(f"exceeded {limit} instructions")
 
     def _enter_block(self, thread: ThreadContext, block: BasicBlock) -> None:
         thread.block = block

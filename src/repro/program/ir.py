@@ -186,11 +186,12 @@ class Program:
         self.instr_by_addr: Dict[int, Instruction] = {}
         self.block_by_addr: Dict[int, BasicBlock] = {}
         self.function_by_addr: Dict[int, Function] = {}
-        #: Link-time compiled handler lists, one entry per engine variant
-        #: (populated lazily by :mod:`repro.machine.compiled`).  Handlers
-        #: bind resolved addresses and block objects, so :meth:`link`
-        #: invalidates this cache.
-        self.compiled_cache: Dict[str, Dict[int, list]] = {}
+        #: The compiled engine's bound kernels: one ``block ->
+        #: BlockKernels`` table per variant (``"traced"``/``"native"``),
+        #: filled as blocks first run (:mod:`repro.machine.compiled`).
+        #: Kernels bind resolved addresses and block objects, so
+        #: :meth:`link` clears this cache.
+        self.compiled_cache: Dict[str, dict] = {}
 
     def add_function(self, function: Function) -> Function:
         if function.name in self.functions:

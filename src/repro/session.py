@@ -16,8 +16,9 @@ individually cacheable stages::
   (workload, thread count, seed, opt level, machine/tracer config,
   analyzer config, schema version).
 
-Stage outputs are memoized in-process and, when the session has a cache
-directory, persisted through :class:`repro.artifacts.ArtifactStore` so
+Stage outputs are memoized in-process (the :data:`MEMO_ENTRIES` most
+recently used per stage) and, when the session has a cache directory,
+persisted through :class:`repro.artifacts.ArtifactStore` so
 sweeps and repeated CLI runs never re-execute identical work.  Of those
 writes only the report (and stored telemetry) reaches the store's sqlite
 result index (:mod:`repro.index`).  All entry
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import dataclasses
 import io as _stdio
+import weakref
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import faults
@@ -68,6 +71,32 @@ OPT_BASE = "O1"
 
 #: Retry schedule of a serial trace that fails transiently.
 _RETRY = faults.RetryPolicy()
+
+#: Entries each in-process stage memo keeps; the least recently used
+#: goes first.  Enough for a sweep (one trace set, one DCFG set, one
+#: report per width) and for an 8-program ``trace_many``.
+MEMO_ENTRIES = 8
+
+
+class _Memo:
+    """One stage's in-process memo, bounded to :data:`MEMO_ENTRIES`."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict" = OrderedDict()
+
+    def get(self, key):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > MEMO_ENTRIES:
+            self._entries.popitem(last=False)
 
 
 class AnalysisSession:
@@ -114,11 +143,19 @@ class AnalysisSession:
         self.fault_stats: Dict[str, int] = {
             "retries": 0, "pool_fallbacks": 0, "worker_failures": 0,
         }
-        self._instances: Dict[tuple, WorkloadInstance] = {}
-        self._programs: Dict[tuple, Program] = {}
-        self._traces: Dict[str, TraceSet] = {}
-        self._dcfgs: Dict[str, DCFGSet] = {}
-        self._reports: Dict[str, AnalysisReport] = {}
+        # Stage memos (keyed like the store), each bounded to the
+        # MEMO_ENTRIES most recently used entries, so a long-lived
+        # session -- a server's, a benchmark's -- holds a constant
+        # number of programs, trace sets, DCFGs and reports.
+        self._instances = _Memo()
+        self._programs = _Memo()
+        self._traces = _Memo()
+        self._dcfgs = _Memo()
+        self._reports = _Memo()
+        #: Every trace set this session handed out, weakly: ``close``
+        #: releases the pool arenas of those still alive (memo-evicted
+        #: ones included); collected ones close their own.
+        self._handed_out: "weakref.WeakSet[TraceSet]" = weakref.WeakSet()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -130,7 +167,7 @@ class AnalysisSession:
         zero-leak guarantee the tests assert.  The persistent workers
         stay up for the next session (shut down at interpreter exit).
         """
-        for traces in list(self._traces.values()):
+        for traces in list(self._handed_out):
             pool_mod.release_arena(traces)
 
     def __enter__(self) -> "AnalysisSession":
@@ -224,7 +261,7 @@ class AnalysisSession:
         if instance is None:
             with self.obs.span("build"):
                 instance = entry.instantiate(resolved, seed=seed)
-            self._instances[key] = instance
+            self._instances.put(key, instance)
         return instance
 
     # -- stage: transform ------------------------------------------------
@@ -249,7 +286,7 @@ class AnalysisSession:
         program = self._programs.get(key)
         if program is None:
             program = self.transform(instance.program, opt_level)
-            self._programs[key] = program
+            self._programs.put(key, program)
         return program
 
     # -- fingerprints ----------------------------------------------------
@@ -323,7 +360,7 @@ class AnalysisSession:
                 traces = self.store.get_traces(fields, program=program)
                 if traces is not None:
                     self.obs.count("trace.cache_hits")
-                    self._traces[key] = traces
+                    self._keep_traces(key, traces)
                     return traces
             instance = self.build(workload, n_threads, seed)
             machine_kwargs = dict(instance.machine_kwargs)
@@ -341,8 +378,12 @@ class AnalysisSession:
             self._record_trace_counters(traces, machine)
             if self.store is not None:
                 self.store.put_traces(fields, traces)
-            self._traces[key] = traces
+            self._keep_traces(key, traces)
         return traces
+
+    def _keep_traces(self, key: str, traces: TraceSet) -> None:
+        self._traces.put(key, traces)
+        self._handed_out.add(traces)
 
     def _record_trace_counters(self, traces: TraceSet, machine=None,
                                machine_counts: Optional[Dict] = None
@@ -397,6 +438,7 @@ class AnalysisSession:
             )
             self.executions += 1
             self._record_trace_counters(traces, machine)
+        self._handed_out.add(traces)
         return traces
 
     def trace_many(self, workloads: Iterable[str],
@@ -425,10 +467,10 @@ class AnalysisSession:
         cold: List[str] = []
         for name in names:
             fields = self.trace_fields(name, n_threads, seed, opt_level)
-            key = fingerprint_key(fields)
-            if key in self._traces:
+            traces = self._traces.get(fingerprint_key(fields))
+            if traces is not None:
                 self.obs.count("trace.memo_hits")
-                out[name] = self._traces[key]
+                out[name] = traces
                 continue
             if self.store is not None and self.store.has(KIND_TRACES, fields):
                 out[name] = self._trace_with_retry(
@@ -466,7 +508,7 @@ class AnalysisSession:
             self._record_trace_counters(traces, machine_counts=counts)
             if self.store is not None:
                 self.store.put_bytes(KIND_TRACES, fields, data)
-            self._traces[fingerprint_key(fields)] = traces
+            self._keep_traces(fingerprint_key(fields), traces)
             out[name] = traces
         return out
 
@@ -553,7 +595,7 @@ class AnalysisSession:
                 dcfgs = ThreadFuserAnalyzer().prepare(traces)
                 if self.store is not None:
                     self.store.put_object(KIND_DCFGS, dcfg_fields, dcfgs)
-            self._dcfgs[key] = dcfgs
+            self._dcfgs.put(key, dcfgs)
         return dcfgs
 
     # -- stage: replay ---------------------------------------------------
@@ -607,7 +649,7 @@ class AnalysisSession:
                 report = self.store.get_object(KIND_REPORT, report_fields)
                 if report is not None:
                     self.obs.count("report.cache_hits")
-                    self._reports[key] = report
+                    self._reports.put(key, report)
                     return report
             traces = self.trace(
                 workload, n_threads=n_threads, seed=seed,
@@ -617,7 +659,7 @@ class AnalysisSession:
             report = self.replay(traces, config=config, dcfgs=dcfgs)
             if self.store is not None:
                 self.store.put_object(KIND_REPORT, report_fields, report)
-            self._reports[key] = report
+            self._reports.put(key, report)
         return report
 
     def sweep(self, workload: str, warp_sizes=(8, 16, 32),
@@ -683,4 +725,4 @@ def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
     return name, serialize_traces(traces), _machine_counts(machine)
 
 
-__all__ = ["OPT_BASE", "AnalysisSession"]
+__all__ = ["MEMO_ENTRIES", "OPT_BASE", "AnalysisSession"]

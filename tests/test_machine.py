@@ -361,3 +361,115 @@ class TestIOAndLimits:
             return [t.retval for t in m.threads]
 
         assert trail() == trail()
+
+
+class TestBlockKernels:
+    """The compiled engine's generated kernels (repro.machine.compiled)."""
+
+    def test_inline_templates_are_the_semantics_lambda_bodies(self):
+        """An operator is inlined only where its template is exactly the
+        ``repro.isa.semantics`` lambda body."""
+        import ast
+        import inspect
+
+        from repro.isa import semantics
+        from repro.machine import compiled
+
+        tree = ast.parse(inspect.getsource(semantics))
+        bodies = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(value, ast.Lambda):
+                        params = [a.arg for a in value.args.args]
+                        bodies.setdefault(key.attr, []).append(
+                            (params, ast.unparse(value.body)))
+            if isinstance(node, ast.FunctionDef) and node.name == "compare":
+                ret = node.body[-1]
+                bodies["compare"] = [([a.arg for a in node.args.args],
+                                      ast.unparse(ret.value))]
+        inlined = [(op.name, template)
+                   for table in (compiled.INLINE_BINARY,
+                                 compiled.INLINE_UNARY,
+                                 compiled.INLINE_TEST)
+                   for op, template in table.items()]
+        inlined.append(("compare", compiled.INLINE_COMPARE))
+        for name, template in inlined:
+            (params, body), = bodies[name]
+            assert ast.unparse(ast.parse(template.format(*params))) == body, \
+                name
+
+    def test_program_values_never_reach_the_source(self):
+        """Immediates and displacements are bound, not spliced."""
+        from repro.machine import compiled
+
+        b = ProgramBuilder()
+        cell = b.data("cell", 8)
+        with b.function("worker", args=["x"]) as f:
+            r = f.reg()
+            f.add(r, f.a(0), 987654321)
+            f.store(Mem(None, disp=cell.value + 8 * 4321), r)
+            f.ret(r)
+        program = b.build()
+        block = program.functions["worker"].entry
+        shapes, env = compiled._describe_block(program, block)
+        source = compiled._kernel_source(True, 0, shapes)
+        assert "987654321" not in source
+        assert str(cell.value + 8 * 4321) not in source
+        assert 987654321 in env.values()
+        assert _run1(program, "worker", [1]) == 987654322
+
+    def test_programs_from_different_seeds_share_kernel_code(self):
+        from repro.workloads import get_workload, run_instance
+
+        workload = get_workload("vectoradd")
+        machines = [run_instance(workload.instantiate(8, seed=seed),
+                                 quantum=100_000) for seed in (1, 2)]
+        codes, globals_ = [], []
+        for machine in machines:
+            table = machine.program.compiled_cache["native"]
+            kernels = [k for entry in table.values() for k in entry.full
+                       if k is not None]
+            codes.append({k.__code__ for k in kernels})
+            globals_.append({id(k.__globals__) for k in kernels})
+        assert codes[0] == codes[1]
+        assert not globals_[0] & globals_[1]
+
+    def test_link_drops_the_bound_kernels(self):
+        program = build_call_program()
+        machine = Machine(program)
+        machine.spawn("worker", [1])
+        machine.run()
+        assert program.compiled_cache
+        stats = machine.engine_stats()
+        assert stats["compiled"] == 1
+        assert stats["handlers"] >= stats["blocks"] > 0
+        program.link()
+        assert program.compiled_cache == {}
+
+    def test_budget_and_limit_clip_a_block(self):
+        """One kernel per step: a quantum of 3 runs a 7-instruction block
+        in three ranges; the instruction limit cuts the last one short."""
+        b = ProgramBuilder()
+        with b.function("worker", args=["x"]) as f:
+            r = f.reg()
+            for _ in range(6):
+                f.add(r, r, f.a(0))
+            f.ret(r)
+        program = b.build()
+        machine = Machine(program, quantum=3)
+        machine.spawn("worker", [2])
+        machine.run()
+        assert machine.threads[0].retval == 12
+        entry, = program.compiled_cache["native"].values()
+        assert sorted(entry.part) == [(0, 3), (3, 6)]
+        assert [k is not None for k in entry.full] == [
+            False, False, False, False, False, False, True]
+
+        limited = Machine(program, quantum=3, max_instructions=4)
+        limited.spawn("worker", [2])
+        with pytest.raises(InstructionLimitError):
+            limited.run()
+        thread = limited.threads[0]
+        assert limited.total_instructions == 5
+        assert (thread.idx, thread.instructions_executed) == (5, 5)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.isa import Mem, Op
-from repro.machine import DeadlockError, Machine, MachineError
+from repro.machine import (
+    DeadlockError, InstructionLimitError, Machine, MachineError,
+)
 from repro.program import ProgramBuilder
 from repro.tracer import TOK_BLOCK, TOK_LOCK, TraceRecorder
 
@@ -226,3 +228,176 @@ class TestProgramValidationEdge:
         machine.spawn("bad", [])
         with pytest.raises(MachineError):
             machine.run()
+
+
+# ----------------------------------------------------------------------
+# The two engines must also agree on a run that fails: same exception,
+# same counters, same thread state, same recorded columns.
+
+def _wrong_arity_call():
+    """A CALL with one argument, read from memory, to a 2-arg callee."""
+    b = ProgramBuilder()
+    cell = b.data("cell", 8)
+    with b.function("callee", args=["x", "y"]) as f:
+        f.ret(f.a(0))
+    with b.function("worker", args=["tid"]) as f:
+        r = f.reg()
+        f.add(r, f.a(0), 1)
+        f.call(r, "callee", [Mem(None, disp=cell.value)])
+        f.ret(r)
+    return b.build(), 2, {}
+
+
+def _idiv_by_zero():
+    """IDIV by a loaded zero, after two loads in the same block."""
+    b = ProgramBuilder()
+    src = b.data("src", 16)
+    with b.function("worker", args=["tid"]) as f:
+        x, y, q = f.reg(), f.reg(), f.reg()
+        f.load(x, Mem(None, disp=src.value))
+        f.load(y, Mem(None, disp=src.value + 8))
+        f.emit(Op.IDIV, q, x, y)
+        f.add(q, q, 1)
+        f.ret(q)
+    return b.build(), 3, {}
+
+
+def _negative_store():
+    """A store to a negative address right after an ALU instruction."""
+    b = ProgramBuilder()
+    with b.function("worker", args=["tid"]) as f:
+        r = f.reg()
+        f.sub(r, f.a(0), 100)
+        f.store(Mem(r, disp=0), f.a(0))
+        f.add(r, r, 1)
+        f.ret(r)
+    return b.build(), 2, {}
+
+
+def _mov_to_immediate():
+    """MOV whose destination is an immediate (memory source first)."""
+    from repro.isa import Imm
+
+    b = ProgramBuilder()
+    cell = b.data("cell", 8)
+    with b.function("worker", args=["tid"]) as f:
+        r = f.reg()
+        f.add(r, f.a(0), 2)
+        f.emit(Op.MOV, Imm(5), Mem(None, disp=cell.value))
+        f.ret(r)
+    return b.build(), 2, {}
+
+
+def _limit_mid_block(quantum):
+    """``max_instructions`` crossed in the middle of a loop body."""
+    def case():
+        b = ProgramBuilder()
+        out = b.data("out", 8 * 8)
+        with b.function("worker", args=["tid"]) as f:
+            i, acc = f.reg(), f.reg()
+            f.mov(acc, 0)
+
+            def body():
+                f.add(acc, acc, i)
+                f.xor(acc, acc, 3)
+                f.store(Mem(None, disp=out.value, index=f.a(0), scale=8),
+                        acc)
+                f.add(acc, acc, f.a(0))
+
+            f.for_range(i, 0, 50, body)
+            f.ret(acc)
+        return b.build(), 3, {"max_instructions": 97, "quantum": quantum}
+    return case
+
+
+_FAILING = {
+    "wrong_arity_call": _wrong_arity_call,
+    "idiv_by_zero": _idiv_by_zero,
+    "negative_store": _negative_store,
+    "mov_to_immediate": _mov_to_immediate,
+    "limit_mid_block_q64": _limit_mid_block(64),
+    "limit_mid_block_q1": _limit_mid_block(1),
+}
+
+
+def _failed_run(case, engine):
+    program, n_threads, machine_kwargs = _FAILING[case]()
+    recorder = TraceRecorder(roots=["worker"], program=program)
+    machine = Machine(program, hooks=recorder, engine=engine,
+                      **machine_kwargs)
+    for tid in range(n_threads):
+        machine.spawn("worker", [tid])
+    with pytest.raises(MachineError) as info:
+        machine.run()
+    columns = []
+    for trace in recorder.traces.threads:
+        c = trace.columns
+        columns.append((
+            trace.cpu_tid, trace.root, trace.closed, dict(trace.skipped),
+            [list(col) for col in (c.kinds, c.arg, c.nins, c.moff,
+                                   c.mslot, c.mstore, c.maddr, c.msize)],
+            list(c.names),
+        ))
+    return {
+        "error": (type(info.value), str(info.value)),
+        "total_instructions": machine.total_instructions,
+        "mem_events": machine.mem_events,
+        "threads": [(t.block.label, t.idx, t.instructions_executed, t.state)
+                    for t in machine.threads],
+        "columns": columns,
+    }
+
+
+class TestEnginesAgreeOnFailure:
+    @pytest.mark.parametrize("case", sorted(_FAILING))
+    def test_failed_run_matches_interpreter(self, case):
+        interp = _failed_run(case, "interp")
+        compiled = _failed_run(case, "compiled")
+        assert compiled == interp
+
+    def test_wrong_arity_call_reads_its_argument_first(self):
+        run = _failed_run("wrong_arity_call", "compiled")
+        assert run["error"][1] == "call to callee with 1 args, expects 2"
+        assert run["mem_events"] == 1
+        assert sum(len(c[4][4]) for c in run["columns"]) == 1
+
+    @pytest.mark.parametrize("case", ["limit_mid_block_q64",
+                                      "limit_mid_block_q1"])
+    def test_limit_lands_mid_block(self, case):
+        run = _failed_run(case, "interp")
+        assert run["error"] == (InstructionLimitError,
+                                "exceeded 97 instructions")
+        assert run["total_instructions"] == 98
+        # The thread that crossed the limit stopped inside a block.
+        assert any(0 < idx for _label, idx, _n, _s in run["threads"])
+
+
+@pytest.mark.parametrize("traced", [True, False])
+@pytest.mark.parametrize("quantum", [1, 2, 64])
+def test_final_thread_state_matches_interpreter(quantum, traced):
+    """HALT and a top-level RET leave ``idx`` on their own slot."""
+    b = ProgramBuilder()
+    with b.function("halter", args=["x"]) as f:
+        r = f.reg()
+        f.add(r, f.a(0), 1)
+        f.mul(r, r, 3)
+        f.halt()
+    with b.function("worker", args=["x"]) as f:
+        r = f.reg()
+        f.add(r, f.a(0), 2)
+        f.xor(r, r, 5)
+        f.ret(r)
+    program = b.build()
+
+    def final(engine):
+        recorder = TraceRecorder(roots=["halter", "worker"],
+                                 program=program) if traced else None
+        machine = Machine(program, hooks=recorder, engine=engine,
+                          quantum=quantum)
+        for tid in range(4):
+            machine.spawn("halter" if tid % 2 else "worker", [tid])
+        machine.run()
+        return [(t.block.label, t.idx, t.instructions_executed, t.state,
+                 t.retval) for t in machine.threads]
+
+    assert final("compiled") == final("interp")

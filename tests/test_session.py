@@ -1,12 +1,15 @@
 """Tests for the staged AnalysisSession: caching, determinism, parallelism."""
 
 import os
+import weakref
 
 import pytest
 
 from repro import analyze_program, trace_program
+from repro import pool as pool_mod
 from repro.core import AnalyzerConfig, analyze_traces, sweep_warp_sizes
-from repro.session import AnalysisSession
+from repro.obs import Recorder
+from repro.session import MEMO_ENTRIES, AnalysisSession
 from repro.workloads import runner
 
 from util import build_lock_program, run_traced
@@ -226,6 +229,46 @@ class TestParallelReplayParity:
         warm = AnalysisSession(cache_dir=str(tmp_path / "p"))
         warm.trace_many(names, n_threads=N_THREADS)
         assert warm.executions == 0
+
+
+class TestBoundedMemos:
+    def test_session_keeps_a_bounded_number_of_trace_sets(self, tmp_path):
+        """A long-lived store-backed session (a server's, a benchmark's)
+        holds at most MEMO_ENTRIES trace sets, however many distinct
+        analyses it runs."""
+        session = AnalysisSession(cache_dir=str(tmp_path))
+        refs = []
+        for seed in range(MEMO_ENTRIES + 4):
+            session.analyze("vectoradd", n_threads=8, seed=seed)
+            refs.append(weakref.ref(
+                session.trace("vectoradd", n_threads=8, seed=seed)))
+        assert sum(ref() is not None for ref in refs) <= MEMO_ENTRIES
+        # The newest entries are still served from memory.
+        assert session.trace("vectoradd", n_threads=8,
+                             seed=MEMO_ENTRIES + 3) is refs[-1]()
+
+    def test_a_sweep_is_still_served_from_the_memos(self):
+        session = AnalysisSession(recorder=Recorder())
+        widths = (4, 8, 16, 32)
+        first = session.sweep("vectoradd", warp_sizes=widths, n_threads=8)
+        again = session.sweep("vectoradd", warp_sizes=widths, n_threads=8)
+        counters = session.telemetry().counters
+        assert counters["trace.executions"] == 1
+        assert counters["report.memo_hits"] == len(widths)
+        assert all(again[w] is first[w] for w in widths)
+
+    def test_close_releases_arenas_of_evicted_trace_sets(self):
+        """Trace sets evicted from the memo but still held (and replayed
+        on the pool) have their arenas released by close()."""
+        session = AnalysisSession(jobs=2)
+        held = []
+        for seed in range(MEMO_ENTRIES + 2):
+            traces = session.trace("vectoradd", n_threads=N_THREADS,
+                                   seed=seed)
+            session.replay(traces, config=AnalyzerConfig(warp_size=4))
+            held.append(traces)
+        session.close()
+        assert pool_mod.live_arenas() == []
 
 
 class TestConfigPlumbingFixes:
