@@ -180,6 +180,10 @@ class Machine:
             # it gets the traced variant.
             self._traced = type(self.hooks) is not NullHooks
             self._kernels = kernel_table(program, self._traced)
+            #: ``tid -> ColumnWriter`` whose block and memory rows traced
+            #: kernels append inline instead of calling the hooks (the
+            #: tracer's ``live`` map; empty for any other hooks object).
+            self._live = getattr(self.hooks, "live", {})
         else:
             self._kernels = None
         # Initial program break for the ISA-level allocator: one word past

@@ -5,12 +5,13 @@ per dynamic invocation of a traced worker function (one OpenMP iteration /
 one Pthread worker call), so CPU scheduling does not perturb the
 CPU-vs-GPU thread mapping.
 
-A trace lives in memory only as packed columns
-(:mod:`repro.tracer.packed`): the recorder writes them as the machine
-runs.  The token tuple stream below is the reference oracle's view of
-the same content -- the tuple replayer, the oracle DCFG scan, the XAPP
-baseline and tests read it, and :attr:`ThreadTrace.tokens` materializes
-it from the columns.  One stream per logical thread::
+A trace lives in memory only as packed rows and columns
+(:mod:`repro.tracer.packed`): the recorder and the traced kernels
+write them as the machine runs.  The token tuple stream below is the
+reference oracle's view of the same content -- the tuple replayer, the
+oracle DCFG scan, the XAPP baseline and tests read it, and
+:attr:`ThreadTrace.tokens` materializes it from the columns.  One
+stream per logical thread::
 
     ("B", block_addr, n_instructions, mems)   executed basic block
     ("C", callee_name)                        call into callee (traced)
@@ -46,14 +47,14 @@ class ThreadTrace:
     """The dynamic trace of one logical (SIMT) thread.
 
     The content is the eight pristine packed columns.  A recorded trace
-    holds them in :attr:`columns`, the :class:`ColumnWriter` the
-    recorder appends to; the first :meth:`packed` call wraps them in a
-    :class:`PackedTrace` (derived columns, signature, the ``trace.pack``
-    fault site) and drops the writer.  Traces loaded from disk or shared
-    memory arrive packed (:meth:`attach_packed`).  :attr:`tokens` is a
-    tuple view for the oracle, materialized once from the pack;
-    assigning ``trace.tokens = [...]`` packs the list as the new
-    content.
+    holds them as rows in :attr:`columns`, the :class:`ColumnWriter` the
+    recorder and the traced kernels append to; the first :meth:`packed`
+    call splits them into a :class:`PackedTrace` (signature, the
+    ``trace.pack`` fault site) and drops the writer.  Traces loaded from
+    disk or shared memory arrive packed (:meth:`attach_packed`).
+    :attr:`tokens` is a tuple view for the oracle, materialized once
+    from the pack; assigning ``trace.tokens = [...]`` packs the list as
+    the new content.
     """
 
     __slots__ = ("index", "cpu_tid", "root", "skipped", "closed",
@@ -88,7 +89,7 @@ class ThreadTrace:
     @property
     def n_tokens(self) -> int:
         """Token count without packing or materializing tuples."""
-        return len((self.columns or self._packed).kinds)
+        return (self.columns or self._packed).n_tokens
 
     def packed(self) -> PackedTrace:
         """The :class:`PackedTrace` (built on the first call, then cached)."""
@@ -114,7 +115,7 @@ class ThreadTrace:
     def n_instructions(self) -> int:
         """Traced dynamic instruction count (never forces a pack)."""
         if self.columns is not None:
-            return sum(self.columns.nins)
+            return self.columns.n_instructions
         return self._packed.total_instructions
 
     @property

@@ -16,7 +16,9 @@ For every randomly generated structured program we require:
 5. **Engine parity** -- the compiled engine's block-range kernels and
    the reference interpreter record byte-identical trace files and
    equal machine counters at quanta 1, 3 and 64, so kernels of ranges
-   clipped at every offset of a block are fuzzed too.
+   clipped at every offset of a block are fuzzed too; also with
+   excluded helpers, nested roots and O0 stack traffic, where traced
+   kernels' inline recording hands over to the tracer's hooks.
 
 Programs draw from nested if/else, counted loops with data-dependent trip
 counts, helper calls, and loads/stores over shared input / private output
@@ -36,7 +38,8 @@ from repro.gpuref import LockstepGPU
 from repro.isa import Mem, Op
 from repro.machine import Machine
 from repro.program import ProgramBuilder
-from repro.tracer import TraceRecorder
+from repro.optlevels import apply_opt_level
+from repro.tracer import PackedTrace, TraceRecorder
 from repro.tracer.io import save_traces
 
 from util import oracle_analyze
@@ -265,3 +268,54 @@ def test_engines_agree_on_random_programs(spec, quantum):
     interp = _run_engine(program, in_addr, out_addr, "interp", quantum)
     compiled = _run_engine(program, in_addr, out_addr, "compiled", quantum)
     assert compiled == interp
+
+
+#: The columns a trace derives from its pristine ones.
+_DERIVED = ("cumn", "mcnt", "bext", "msegf", "msegl")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(program_specs(),
+       st.sets(st.sampled_from(["helper0", "helper1"])),
+       st.sampled_from([["worker"], ["helper1"], ["worker", "helper1"]]),
+       st.sampled_from(["O1", "O0"]),
+       st.sampled_from([1, 3, 64]))
+def test_engines_agree_with_exclusion_nested_roots_and_stack_traffic(
+        spec, exclude, roots, level, quantum):
+    """Both engines record the same bytes when traces open inside calls,
+    excluded helpers suspend recording, and O0 spills to the stack (so
+    stack addresses are rebased); each fresh trace's derived columns
+    equal the ones its saved columns rebuild."""
+    program, in_addr, out_addr = _build(spec)
+    program = apply_opt_level(program, level)
+    runs = {}
+    for engine in ("interp", "compiled"):
+        recorder = TraceRecorder(roots=roots, exclude=exclude,
+                                 program=program)
+        machine = Machine(program, hooks=recorder, quantum=quantum,
+                          max_instructions=2_000_000, engine=engine)
+        machine.memory.write_words(in_addr, _INPUT)
+        for t in range(N_THREADS):
+            machine.spawn("worker", [t])
+        machine.run()
+        saved = io.BytesIO()
+        save_traces(recorder.traces, saved)
+        runs[engine] = {
+            "trace_file": saved.getvalue(),
+            "total_instructions": machine.total_instructions,
+            "mem_events": machine.mem_events,
+            "executed": [t.instructions_executed for t in machine.threads],
+            "threads": [(t.block.label, t.idx, t.state, t.retval)
+                        for t in machine.threads],
+            "out": machine.memory.read_words(out_addr, N_THREADS),
+        }
+        for trace in recorder.traces:
+            packed = trace.packed()
+            rebuilt = PackedTrace.from_columns(
+                packed.column_bytes(), packed.n_tokens, len(packed.mslot),
+                packed.names)
+            for attr in _DERIVED:
+                assert getattr(packed, attr) == getattr(rebuilt, attr), attr
+    assert runs["compiled"] == runs["interp"]

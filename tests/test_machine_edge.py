@@ -288,6 +288,18 @@ def _mov_to_immediate():
     return b.build(), 2, {}
 
 
+def _address_below_int64():
+    """A store to an address below -2**63, which no column can hold."""
+    b = ProgramBuilder()
+    with b.function("worker", args=["tid"]) as f:
+        r = f.reg()
+        f.mov(r, -(2 ** 63) - 64)
+        f.add(r, r, f.a(0))
+        f.store(Mem(r, disp=0), f.a(0))
+        f.ret(r)
+    return b.build(), 2, {}
+
+
 def _limit_mid_block(quantum):
     """``max_instructions`` crossed in the middle of a loop body."""
     def case():
@@ -317,7 +329,12 @@ _FAILING = {
     "mov_to_immediate": _mov_to_immediate,
     "limit_mid_block_q64": _limit_mid_block(64),
     "limit_mid_block_q1": _limit_mid_block(1),
+    "address_below_int64": _address_below_int64,
 }
+
+#: The error of each case that is not a ``MachineError``: the recorder
+#: cannot encode the address.
+_RAISES = {"address_below_int64": OverflowError}
 
 
 def _failed_run(case, engine):
@@ -327,15 +344,14 @@ def _failed_run(case, engine):
                       **machine_kwargs)
     for tid in range(n_threads):
         machine.spawn("worker", [tid])
-    with pytest.raises(MachineError) as info:
+    with pytest.raises(_RAISES.get(case, MachineError)) as info:
         machine.run()
     columns = []
     for trace in recorder.traces.threads:
         c = trace.columns
         columns.append((
             trace.cpu_tid, trace.root, trace.closed, dict(trace.skipped),
-            [list(col) for col in (c.kinds, c.arg, c.nins, c.moff,
-                                   c.mslot, c.mstore, c.maddr, c.msize)],
+            [list(col) for col in c.columns()],
             list(c.names),
         ))
     return {
@@ -360,6 +376,12 @@ class TestEnginesAgreeOnFailure:
         assert run["error"][1] == "call to callee with 1 args, expects 2"
         assert run["mem_events"] == 1
         assert sum(len(c[4][4]) for c in run["columns"]) == 1
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_address_below_int64_overflows(self, engine):
+        run = _failed_run("address_below_int64", engine)
+        assert run["error"][0] is OverflowError
+        assert run["mem_events"] == 1
 
     @pytest.mark.parametrize("case", ["limit_mid_block_q64",
                                       "limit_mid_block_q1"])
