@@ -33,6 +33,24 @@ def stack_top(tid: int) -> int:
     return STACK_BASE + (tid + 1) * STACK_SIZE
 
 
+def stack_rebase_source(addr: str, base: str) -> str:
+    """Moving a stack address to the same offset of the stack region
+    starting at ``base``, as a Python expression over the names
+    ``addr`` and ``base``; heap addresses stay as they are.
+
+    Source text, so that traced kernels (:mod:`repro.machine.compiled`)
+    splice it in while the tracer calls it compiled
+    (:func:`stack_rebase`): both engines rebase by this one definition.
+    """
+    return (f"{addr} if {addr} < {STACK_BASE:#x} else "
+            f"({addr} - {STACK_BASE:#x}) % {STACK_SIZE:#x} + {base}")
+
+
+#: ``stack_rebase(addr, base)``: :func:`stack_rebase_source` compiled.
+stack_rebase = eval(
+    f"lambda addr, base: {stack_rebase_source('addr', 'base')}")
+
+
 class Memory:
     """A sparse word store.
 
