@@ -9,15 +9,22 @@ machine-readable ``BENCH_core.json`` at the repo root.
 Two modes:
 
 * full (default): the five tracer-overhead workloads at 64 threads,
-  best-of-3; asserts the headline acceptance target -- the compiled
+  three rounds; asserts the headline acceptance target -- the compiled
   engine is >= 2x the interpreter on native geomean throughput.
-* smoke (``THREADFUSER_PERF_SMOKE=1``): one small workload, best-of-2,
-  with deliberately generous floors -- a CI canary against massive
-  regressions, not a precision measurement.
+* smoke (``THREADFUSER_PERF_SMOKE=1``): one small workload, two
+  rounds, with deliberately generous floors -- a CI canary against
+  massive regressions, not a precision measurement.
+
+After one untimed warm-up run of each engine per workload, each round
+times the two engines back to back, natively and then traced,
+alternating which engine goes first.  Rates are the best round's; each
+speedup is the median of the per-round time ratios, so host drift
+between rounds does not enter it.
 """
 
 import json
 import os
+import statistics
 import time
 
 from conftest import emit, run_once
@@ -32,6 +39,7 @@ WORKLOADS = ["nbody"] if SMOKE else [
 ]
 N_THREADS = 32 if SMOKE else 64
 ROUNDS = 2 if SMOKE else 3
+ENGINES = ("interp", "compiled")
 
 #: Smoke floors: an order of magnitude of headroom against measured
 #: numbers (compiled ~2.5+ M instr/s, ~2x speedup on dev hardware), so
@@ -43,31 +51,52 @@ SMOKE_MIN_SPEEDUP = 1.15
 FULL_MIN_GEOMEAN_SPEEDUP = 2.0
 
 
-def _best_native(workload, engine):
-    """Best-of-N native wall time; returns (seconds, instructions)."""
-    best = float("inf")
-    instructions = 0
-    for _ in range(ROUNDS):
-        instance = workload.instantiate(N_THREADS)
-        t0 = time.perf_counter()
-        machine = run_instance(instance, engine=engine)
-        best = min(best, time.perf_counter() - t0)
-        instructions = machine.total_instructions
-    return best, instructions
+def _native_run(workload, engine):
+    """One native wall time; returns (seconds, instructions)."""
+    instance = workload.instantiate(N_THREADS)
+    t0 = time.perf_counter()
+    machine = run_instance(instance, engine=engine)
+    return time.perf_counter() - t0, machine.total_instructions
 
 
-def _best_traced(workload, engine):
-    """Best-of-N traced wall time; returns (seconds, instructions, traces)."""
-    best = float("inf")
-    instructions = 0
-    traces = None
-    for _ in range(ROUNDS):
-        instance = workload.instantiate(N_THREADS)
-        t0 = time.perf_counter()
-        traces, machine = trace_instance(instance, engine=engine)
-        best = min(best, time.perf_counter() - t0)
-        instructions = machine.total_instructions
-    return best, instructions, traces
+def _traced_run(workload, engine):
+    """One traced wall time; returns (seconds, traces)."""
+    instance = workload.instantiate(N_THREADS)
+    t0 = time.perf_counter()
+    traces, _machine = trace_instance(instance, engine=engine)
+    return time.perf_counter() - t0, traces
+
+
+def _interleaved(workload):
+    """Time both engines back to back, native then traced, per round.
+
+    The engine that runs first alternates from round to round, so host
+    drift between rounds cancels in each round's interp/compiled ratio.
+    Returns the best time per ``(mode, engine)``, the median per-round
+    ratio per mode, the instruction count and the compiled traces.
+    """
+    for engine in ENGINES:
+        # Untimed: the compiled engine's first run of a program compiles
+        # its kernels, a first-use cost that would sink round 1's ratio.
+        _native_run(workload, engine)
+        _traced_run(workload, engine)
+    best = {}
+    ratios = {"native": [], "traced": []}
+    for index in range(ROUNDS):
+        engines = ENGINES if index % 2 == 0 else ENGINES[::-1]
+        for mode, run in (("native", _native_run), ("traced", _traced_run)):
+            seconds = {}
+            for engine in engines:
+                seconds[engine], result = run(workload, engine)
+                key = (mode, engine)
+                best[key] = min(best.get(key, float("inf")), seconds[engine])
+                if mode == "native":
+                    instructions = result
+                elif engine == "compiled":
+                    traces = result
+            ratios[mode].append(seconds["interp"] / seconds["compiled"])
+    medians = {mode: statistics.median(r) for mode, r in ratios.items()}
+    return best, medians, instructions, traces
 
 
 def _geomean(values):
@@ -81,22 +110,20 @@ def test_core_engine_throughput(benchmark):
     def experiment():
         rows = {}
         for name in WORKLOADS:
-            workload = get_workload(name)
-            interp_s, instructions = _best_native(workload, "interp")
-            compiled_s, _ = _best_native(workload, "compiled")
-            interp_t, _, _ = _best_traced(workload, "interp")
-            compiled_t, _, traces = _best_traced(workload, "compiled")
+            best, medians, instructions, traces = _interleaved(
+                get_workload(name))
             t0 = time.perf_counter()
             analyze_traces(traces, warp_size=32)
             analyze_s = time.perf_counter() - t0
             rows[name] = {
                 "instructions": instructions,
-                "interp_ips": instructions / interp_s,
-                "compiled_ips": instructions / compiled_s,
-                "speedup": interp_s / compiled_s,
-                "interp_traced_ips": instructions / interp_t,
-                "compiled_traced_ips": instructions / compiled_t,
-                "traced_speedup": interp_t / compiled_t,
+                "interp_ips": instructions / best["native", "interp"],
+                "compiled_ips": instructions / best["native", "compiled"],
+                "speedup": medians["native"],
+                "interp_traced_ips": instructions / best["traced", "interp"],
+                "compiled_traced_ips": (instructions
+                                        / best["traced", "compiled"]),
+                "traced_speedup": medians["traced"],
                 "analyze_s": analyze_s,
             }
         return rows
@@ -106,7 +133,7 @@ def test_core_engine_throughput(benchmark):
     lines = [
         "Core engine throughput (native = NullHooks, M instr/s; "
         f"{'smoke' if SMOKE else 'full'} mode, {N_THREADS} threads, "
-        f"best of {ROUNDS})",
+        f"best of {ROUNDS}; speedups are medians of per-round ratios)",
         "{:<14} {:>10} {:>9} {:>9} {:>8} {:>9} {:>9} {:>8}".format(
             "workload", "instrs", "interp", "compiled", "native",
             "interp", "compiled", "traced"),
@@ -137,6 +164,8 @@ def test_core_engine_throughput(benchmark):
         "nproc": len(os.sched_getaffinity(0)),
         "n_threads": N_THREADS,
         "rounds": ROUNDS,
+        "speedups": "median over rounds of the interleaved interp/compiled "
+                    "time ratio",
         "unit": "instructions/second, single process",
         "baseline": "interp (the seed instruction-at-a-time interpreter)",
         "workloads": rows,

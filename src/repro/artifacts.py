@@ -61,7 +61,7 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from . import faults
@@ -156,9 +156,6 @@ class CacheStats:
     bytes_read: int = 0
     bytes_written: int = 0
     corrupt: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
 
     def __str__(self) -> str:
         return (f"hits={self.hits} misses={self.misses} puts={self.puts} "

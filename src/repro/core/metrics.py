@@ -107,12 +107,6 @@ class SegmentStats:
             return 0.0
         return self.transactions / self.instructions
 
-    def accesses_per_instruction(self) -> float:
-        """Per-lane accesses per warp-level memory instruction."""
-        if self.instructions == 0:
-            return 0.0
-        return self.accesses / self.instructions
-
     def clone(self) -> "SegmentStats":
         other = SegmentStats()
         other.instructions = self.instructions

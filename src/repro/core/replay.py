@@ -34,7 +34,7 @@ in warp order like every other counter (exported via :mod:`repro.obs`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..tracer.events import (
     TOK_BLOCK,
@@ -76,11 +76,6 @@ class _Cursor:
     def __init__(self, trace: ThreadTrace) -> None:
         self.tokens = trace.tokens
         self.pos = 0
-
-    def peek(self) -> Optional[tuple]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
 
     def next(self) -> tuple:
         token = self.tokens[self.pos]
@@ -241,9 +236,6 @@ class WarpReplayer:
         """
         self.metrics.account_call(function)
         entry = self._next_block_of(lanes[0])
-        if entry == VEXIT:
-            # Degenerate: thread ended immediately; drain RET tokens below.
-            pass
         stack: List[_Entry] = []
         self._push(stack, _Entry(entry, VEXIT, list(lanes)))
         while stack:
@@ -867,12 +859,21 @@ class VectorWarpReplayer(WarpReplayer):
         :meth:`~repro.core.metrics.WarpMetrics.account_memory`.
         """
         cursors = self.cursors
-        rep = cursors[mask[0]]
         fcols = [cursors[lane].msegf for lane in mask]
         lcols = [cursors[lane].msegl for lane in mask]
-        heap_ins, heap_txn, stack_ins, stack_txn = vector.span_stats(
-            fcols, lcols, los, rep.maddr, nrec, STACK_BASE)
-        n_lanes = len(mask)
+        self._add_memory(len(mask), vector.span_stats(
+            fcols, lcols, los, cursors[mask[0]].maddr, nrec, STACK_BASE))
+
+    def _add_memory(self, n_lanes: int,
+                    stats: Tuple[int, int, int, int]) -> None:
+        """Add a :mod:`repro.core.vector` total to the segment counters.
+
+        ``stats`` is ``(heap_instructions, heap_transactions,
+        stack_instructions, stack_transactions)`` for records issued at
+        ``n_lanes`` active lanes, so each instruction is ``n_lanes``
+        accesses.
+        """
+        heap_ins, heap_txn, stack_ins, stack_txn = stats
         if heap_ins:
             seg = self.metrics.memory[SEG_HEAP]
             seg.instructions += heap_ins
@@ -893,11 +894,11 @@ class VectorWarpReplayer(WarpReplayer):
         included, stopping exactly where per-block stepping would: at
         the entry's reconvergence PC, at the enclosing frame's RET, or
         at stream end.  Metric parity with per-block stepping is exact:
-        block accounting is linear, so per-function issue sums flush on
-        frame transitions; each span's records are accounted in bulk by
-        :mod:`repro.core.vector`; nested frames mirror
-        :meth:`_replay_frame`'s stack-depth bookkeeping (their base
-        entries pop without reconvergence events); and a solo lock
+        block accounting is linear, so each function's issues are
+        accounted once per frame transition; each span's records are
+        accounted in bulk by :mod:`repro.core.vector`; nested frames
+        mirror :meth:`_replay_frame`'s stack-depth bookkeeping (their
+        base entries pop without reconvergence events); and a solo lock
         acquisition is one uncontended lock event regardless of the
         emulation policy.
         """
@@ -916,39 +917,22 @@ class VectorWarpReplayer(WarpReplayer):
         pos = cursor.pos
         rpc = e.rpc
         metrics = self.metrics
-        heap = metrics.memory[SEG_HEAP]
-        stack_seg = metrics.memory[SEG_STACK]
         depth = 0            # nested activations entered inside the leg
         fstack = [function]  # enclosing function names, innermost last
         pend = 0             # accumulated issues for fstack[-1]
-
-        def flush(amount: int, fname: str) -> None:
-            # Solo lanes add ``amount`` issues and ``amount * 1`` thread
-            # instructions; summing per function segment is exact.
-            if amount:
-                metrics.issues += amount
-                metrics.thread_instructions += amount
-                stats = metrics.function_stats(fname)
-                stats.issues += amount
-                stats.thread_instructions += amount
-
         while True:
             if pos >= n:
                 # Thread terminated inside the leg: nested frames unwind
                 # (no reconvergence events, matching _replay_frame) and
                 # the entry drains at the virtual exit.
                 self._depth -= depth
-                flush(pend, fstack[-1])
-                cursor.pos = pos
                 e.pc = VEXIT
-                return
+                break
             kind = kinds[pos]
             if kind == KIND_B:
                 if depth == 0 and arg[pos] == rpc:
-                    flush(pend, fstack[-1])
-                    cursor.pos = pos
                     e.pc = rpc
-                    return
+                    break
                 run = bext[pos]
                 if depth == 0 and rpc != VEXIT and run > 1:
                     # Only the enclosing frame can hit the
@@ -962,17 +946,8 @@ class VectorWarpReplayer(WarpReplayer):
                 lo = moff[pos]
                 hi = moff[pos + run]
                 if hi != lo:
-                    (heap_ins, heap_txn, stack_ins,
-                     stack_txn) = vector.solo_span_stats(
-                        maddr, msegf, msegl, lo, hi, STACK_BASE)
-                    if heap_ins:
-                        heap.instructions += heap_ins
-                        heap.accesses += heap_ins
-                        heap.transactions += heap_txn
-                    if stack_ins:
-                        stack_seg.instructions += stack_ins
-                        stack_seg.accesses += stack_ins
-                        stack_seg.transactions += stack_txn
+                    self._add_memory(1, vector.solo_span_stats(
+                        maddr, msegf, msegl, lo, hi, STACK_BASE))
                 self.vector_tokens += run
                 pos += run
                 if pos >= n:
@@ -980,7 +955,7 @@ class VectorWarpReplayer(WarpReplayer):
                 # At most one post-block event token follows a block.
                 follow = kinds[pos]
                 if follow == KIND_CALL:
-                    flush(pend, fstack[-1])
+                    metrics.account_block(fstack[-1], pend, 1)
                     pend = 0
                     callee = names[arg[pos]]
                     pos += 1
@@ -1001,11 +976,9 @@ class VectorWarpReplayer(WarpReplayer):
                 if depth == 0:
                     # The enclosing frame's RET: leave it for the
                     # _replay_frame drain loop.
-                    flush(pend, fstack[-1])
-                    cursor.pos = pos
                     e.pc = VEXIT
-                    return
-                flush(pend, fstack[-1])
+                    break
+                metrics.account_block(fstack[-1], pend, 1)
                 pend = 0
                 fstack.pop()
                 depth -= 1
@@ -1016,6 +989,8 @@ class VectorWarpReplayer(WarpReplayer):
                     f"lane {lane} has unexpected token "
                     f"{CODE_KINDS[kind]!r} at a block boundary"
                 )
+        metrics.account_block(fstack[-1], pend, 1)
+        cursor.pos = pos
 
     def _regroup(self, function: str, e: _Entry, stack: List[_Entry],
                  branch_block: int) -> None:
@@ -1126,107 +1101,39 @@ class VectorWarpReplayer(WarpReplayer):
         Every cursor in ``mask`` sits one position past the block token
         it just consumed, so each lane's records are the
         ``moff[pos]:moff[pos + 1]`` column span of its previous
-        position -- no access tuples are materialized on the aligned
-        paths.
+        position.  Without a visitor, aligned lanes are accounted in
+        bulk by :meth:`_coalesce_span`; a visitor needs each record's
+        ``(addr, size)`` accesses, and misaligned lanes need the
+        oracle's error, so both take the per-record loop.
         """
         cursors = self.cursors
         visitor = self.visitor
         rep = cursors[mask[0]]
         rep_pos = rep.pos - 1
         rep_lo = rep.moff[rep_pos]
-        rep_hi = rep.moff[rep_pos + 1]
-        if len(mask) == 1:
-            # Single-lane entries normally run through _solo_leg; this
-            # path hosts solo blocks stepped with a visitor attached.
-            maddr, msize = rep.maddr, rep.msize
-            if visitor is None:
-                heap = self.metrics.memory[SEG_HEAP]
-                stack_seg = self.metrics.memory[SEG_STACK]
-                msegf, msegl = rep.msegf, rep.msegl
-                for i in range(rep_lo, rep_hi):
-                    seg = (stack_seg if maddr[i] >= STACK_BASE
-                           else heap)
-                    seg.instructions += 1
-                    seg.accesses += 1
-                    seg.transactions += msegl[i] - msegf[i] + 1
-            else:
-                account_memory = self.metrics.account_memory
-                mslot, mstore = rep.mslot, rep.mstore
-                for i in range(rep_lo, rep_hi):
-                    accesses = [(maddr[i], msize[i])]
-                    account_memory(accesses)
-                    visitor.on_mem_issue(function, block_addr, mslot[i],
-                                         bool(mstore[i]), accesses)
-            return
-        nrec = rep_hi - rep_lo
-        nlanes = len(mask)
+        nrec = rep.moff[rep_pos + 1] - rep_lo
         if visitor is None:
             # Alignment precheck at C speed: every lane's slot/store
             # column prefix for this block must equal the
             # representative's (lanes may carry extra trailing records,
-            # which per-record coalescing never reads).  The same sweep
-            # collects each lane's first/last-segment slices.
-            ref_slot = rep.mslot[rep_lo:rep_hi]
-            ref_store = rep.mstore[rep_lo:rep_hi]
-            fslices = [rep.msegf[rep_lo:rep_hi]]
-            lslices = [rep.msegl[rep_lo:rep_hi]]
-            aligned = True
-            for k in range(1, nlanes):
-                cursor = cursors[mask[k]]
+            # which per-record coalescing never reads).
+            ref_slot = rep.mslot[rep_lo:rep_lo + nrec]
+            ref_store = rep.mstore[rep_lo:rep_lo + nrec]
+            los = [rep_lo]
+            for lane in mask[1:]:
+                cursor = cursors[lane]
                 pos = cursor.pos - 1
                 lo = cursor.moff[pos]
                 if (cursor.moff[pos + 1] - lo < nrec
                         or cursor.mslot[lo:lo + nrec] != ref_slot
                         or cursor.mstore[lo:lo + nrec] != ref_store):
-                    aligned = False
                     break
-                fslices.append(cursor.msegf[lo:lo + nrec])
-                lslices.append(cursor.msegl[lo:lo + nrec])
-            if aligned:
-                heap = self.metrics.memory[SEG_HEAP]
-                stack_seg = self.metrics.memory[SEG_STACK]
-                if fslices == lslices:
-                    # Every access in every lane touches exactly one
-                    # 32-byte segment, so a record's transaction count
-                    # is the number of distinct lane segments -- one
-                    # set() per record, iterated at C speed.
-                    threshold = STACK_BASE >> TRANSACTION_SHIFT
-                    for segs in zip(*fslices):
-                        seg = (stack_seg if segs[0] >= threshold
-                               else heap)
-                        seg.instructions += 1
-                        seg.accesses += nlanes
-                        seg.transactions += len(set(segs))
-                    return
-                # transactions_for() over precomputed segment bounds:
-                # track the representative's run and materialize the
-                # segment set only when a lane leaves it.
-                maddr = rep.maddr
-                rep_f = fslices[0]
-                rep_l = lslices[0]
-                for i in range(nrec):
-                    addr = maddr[rep_lo + i]
-                    seg = stack_seg if addr >= STACK_BASE else heap
-                    seg.instructions += 1
-                    seg.accesses += nlanes
-                    lo0 = rep_f[i]
-                    hi0 = rep_l[i]
-                    segments = None
-                    for k in range(1, nlanes):
-                        f = fslices[k][i]
-                        last = lslices[k][i]
-                        if segments is None:
-                            if f == lo0 and last == hi0:
-                                continue
-                            segments = set(range(lo0, hi0 + 1))
-                        segments.update(range(f, last + 1))
-                    if segments is None:
-                        seg.transactions += hi0 - lo0 + 1
-                    else:
-                        seg.transactions += len(segments)
+                los.append(lo)
+            else:
+                self._coalesce_span(mask, los, nrec)
                 return
-            # Misaligned: fall through to the per-record loop, which
-            # accounts the aligned prefix and raises the precise error.
+            # Misaligned: the per-record loop accounts the aligned
+            # prefix and raises the precise error.
         account_memory = self.metrics.account_memory
         lane_spans = []
         for lane in mask:
@@ -1281,8 +1188,6 @@ class VectorWarpReplayer(WarpReplayer):
         last_block = None
         account_block = self.metrics.account_block
         account_memory = self.metrics.account_memory
-        heap = self.metrics.memory[SEG_HEAP]
-        stack_seg = self.metrics.memory[SEG_STACK]
         visitor = self.visitor
         try:
             while True:
@@ -1299,12 +1204,9 @@ class VectorWarpReplayer(WarpReplayer):
                     account_block(func_stack[-1], nins[here], 1,
                                   serialized=True)
                     if visitor is None:
-                        for i in range(moff[here], moff[here + 1]):
-                            seg = (stack_seg if maddr[i] >= STACK_BASE
-                                   else heap)
-                            seg.instructions += 1
-                            seg.accesses += 1
-                            seg.transactions += msegl[i] - msegf[i] + 1
+                        self._add_memory(1, vector.solo_span_stats(
+                            maddr, msegf, msegl, moff[here], moff[here + 1],
+                            STACK_BASE))
                     else:
                         visitor.on_issue(func_stack[-1], addr, nins[here],
                                          [lane])

@@ -297,9 +297,6 @@ class Program:
     # ------------------------------------------------------------------
     # Lookup helpers.
 
-    def function_of_entry(self, entry_addr: int) -> Function:
-        return self.function_by_addr[entry_addr]
-
     def next_block(self, block: BasicBlock) -> Optional[BasicBlock]:
         """Fall-through successor of ``block`` within its function."""
         function = block.function

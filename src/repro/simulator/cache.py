@@ -47,7 +47,3 @@ class Cache:
     def hit_rate(self) -> float:
         total = self.accesses
         return self.hits / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0

@@ -25,6 +25,7 @@ import http.client
 import importlib.util
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -725,6 +726,24 @@ def _read_to_eof(sock, timeout):
     return None
 
 
+def _tcp_ports(_payload):
+    """Pool task: the local ports of the worker's open TCP sockets."""
+    ports = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            fd = os.dup(int(name))
+        except OSError:
+            continue  # the listing's own descriptor, closed by now
+        try:
+            sock = socket.socket(fileno=fd)
+        except OSError:
+            os.close(fd)  # not a socket
+            continue
+        with sock:
+            if sock.family in (socket.AF_INET, socket.AF_INET6):
+                ports.append(sock.getsockname()[1])
+    return sorted(ports)
+
 class TestShutdownClosesConnections:
     def test_close_ends_an_idle_keep_alive_connection(self, tmp_path):
         handle = start_in_background(cache_dir=str(tmp_path / "cache"))
@@ -782,6 +801,46 @@ class TestShutdownClosesConnections:
                 handle.close()
                 pool.shutdown()
 
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists descriptors through /proc/self/fd")
+    def test_respawned_replay_worker_holds_no_server_socket(self, tmp_path):
+        # A worker respawned while the server listens and a client is
+        # connected is forked with both sockets; it must not keep them.
+        from repro import pool
+
+        pool.shutdown()
+        with faults.injected(None):
+            handle = start_in_background(cache_dir=str(tmp_path / "cache"),
+                                         jobs=2)
+            port = handle.server.port
+            conn = http.client.HTTPConnection(handle.server.host, port,
+                                              timeout=30.0)
+            try:
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                response.read()
+                assert not response.will_close
+                workers = pool.shared_pool().workers()
+                assert len(workers) == 2
+                os.kill(workers[0][0], signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while (pool.shared_pool().workers()[0][1]
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                respawned, original = pool.shared_pool().run_tasks(
+                    [(_tcp_ports, None, "t0"), (_tcp_ports, None, "t1")],
+                    jobs=2)
+                assert pool.shared_pool().workers()[0][0] != workers[0][0]
+                assert port not in respawned
+                assert port not in original
+                # A request on a new connection still succeeds.
+                status, health = _get(handle.url, "/v1/health")
+                assert status == 200 and health["status"] == "ok"
+            finally:
+                conn.close()
+                handle.close()
+                pool.shutdown()
 
 #: Requests that do not parse, and the status each must get.
 _MALFORMED = {

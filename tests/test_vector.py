@@ -223,6 +223,42 @@ def _prepared(traces):
     return dcfgs
 
 
+class _CallLog:
+    """A warp-trace visitor that records every callback it receives."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_issue(self, *args):
+        self.calls.append(("issue",) + args)
+
+    def on_mem_issue(self, *args):
+        self.calls.append(("mem",) + args)
+
+
+#: The representative lane's records: one heap access, and one stack
+#: access that straddles a 32-byte boundary.
+_REP_RECORDS = ((0, False, 0x2000, 8), (1, True, STACK_BASE + 0x3C, 8))
+
+#: Lane 1's records for the same block in each alignment case; lanes 0
+#: and 2 carry ``_REP_RECORDS``.
+_LANE_RECORDS = {
+    "extra_trailing_record": _REP_RECORDS + ((2, False, 0x2100, 4),),
+    "missing_second_record": _REP_RECORDS[:1],
+    "slot_differs": ((0, False, 0x2020, 8), (5, True, STACK_BASE + 0x40, 8)),
+    "store_differs": ((0, True, 0x2020, 8), (1, True, STACK_BASE + 0x40, 8)),
+}
+
+
+def _outcome(replayer_cls, traces, dcfgs, visitor):
+    """The metrics pickle of a replay, or its ``ReplayError`` message."""
+    replayer = replayer_cls(traces.threads, dcfgs, 4, visitor=visitor)
+    try:
+        return pickle.dumps(replayer.run())
+    except ReplayError as exc:
+        return str(exc)
+
+
 class TestVectorReplayer:
     def test_converged_stream_is_consumed_entirely_in_bulk(self):
         traces = _converged_traces()
@@ -255,6 +291,34 @@ class TestVectorReplayer:
             VectorWarpReplayer(traces.threads, dcfgs, 2).run()
         assert str(vector_err.value) == str(oracle_err.value)
         assert "misaligned" in str(oracle_err.value)
+
+    @pytest.mark.parametrize("visited", [False, True],
+                             ids=["no_visitor", "visitor"])
+    @pytest.mark.parametrize("case", sorted(_LANE_RECORDS))
+    def test_per_block_alignment_rules_match_the_oracle(self, case,
+                                                        visited):
+        # Three blocks are shorter than MIN_SPAN, so the production
+        # replayer steps them one at a time and applies its own
+        # per-block alignment check to the middle block's records.  The
+        # last block's record has the shape of the representative's
+        # second record, so a lane that lacks it cannot borrow it from
+        # the next block.
+        traces = TraceSet(workload="vector_align")
+        for tid, records in enumerate(
+                (_REP_RECORDS, _LANE_RECORDS[case], _REP_RECORDS)):
+            traces.new_thread(tid, "worker").tokens = [
+                (TOK_BLOCK, 0x100, 2, ()),
+                (TOK_BLOCK, 0x108, 3, records),
+                (TOK_BLOCK, 0x110, 1, ((1, True, STACK_BASE + 0x80, 4),)),
+            ]
+        assert len(traces.threads[0].tokens) < VectorWarpReplayer.MIN_SPAN
+        dcfgs = _prepared(traces)
+        results = []
+        for replayer_cls in (WarpReplayer, VectorWarpReplayer):
+            log = _CallLog() if visited else None
+            results.append((_outcome(replayer_cls, traces, dcfgs, log),
+                            log.calls if visited else None))
+        assert results[1] == results[0]
 
 
 # -- telemetry ------------------------------------------------------------
