@@ -33,25 +33,28 @@ this module's own tables ever reach the generated source; no program
 value is spliced into it.  An operator is inlined only where the
 expression is exactly its ``repro.isa.semantics`` lambda body (ADD is
 ``a + b``); every other operator calls the bound semantics function.
-LOCK, UNLOCK, BARRIER and any instruction whose operands do not fit the
-generated forms call the interpreter's own ``Machine._op_*`` method.
+LOCK, UNLOCK, BARRIER, the opcodes no workload loops on (XCHG, AADD,
+LEA, NOP, HALT, IOREAD, IOWRITE) and operands outside the generated
+forms run the interpreter's own ``Machine._op_*`` method, as a binary
+translator calls a helper for the instructions that carry no traffic.
 
 Two variants exist per program: **traced** kernels record at the
 interpreter's hook points; **native** kernels -- used when the hooks are
 exactly :class:`~repro.machine.machine.NullHooks` -- leave the no-op
-calls out and keep every counter.  A traced kernel splits its hook
-points the way PIN splits ``INS_InsertIfCall`` from
-``INS_InsertThenCall``: it reads the thread's entry of the tracer's
-``live`` map once at range entry (``m._live``, present while the
-thread's trace is open and no excluded function is active), and for
-each memory access and each block entry it appends the
-:class:`~repro.tracer.packed.ColumnWriter` row inline -- stack rebasing
-is :func:`~repro.machine.memory.stack_rebase_source`, spliced in --
-when the entry is there, and calls the hook when it is not.  A block
-entry after CALL or RET reads the entry again, since those hooks open,
-close and suspend traces.  Calls, returns, lock events, I/O skips and thread ends always
-call the hooks, so :class:`~repro.tracer.recorder.TraceRecorder` keeps
-the one definition of trace open and close, exclusion and skips.
+calls out and keep every counter.  Traced kernels need the tracer's
+``live`` map (``m._live``; the machine rejects hooks without one) and
+split their hook points the way PIN splits ``INS_InsertIfCall`` from
+``INS_InsertThenCall``: read once at range entry, the thread's entry
+(there while its trace is open and no excluded function is active)
+lets memory accesses and block entries append their
+:class:`~repro.tracer.packed.ColumnWriter` rows inline, stack rebasing
+spliced in (:func:`~repro.machine.memory.stack_rebase_source`).
+Without it a memory access records nothing, as ``on_mem`` would, and a
+block entry calls ``on_block``.  After CALL or RET the entry is read
+again, since those hooks open, close and suspend traces.  Calls,
+returns, lock events and thread ends call the hooks, so
+:class:`~repro.tracer.recorder.TraceRecorder` keeps the one definition
+of trace open and close, exclusion and skips.
 
 Error state is exact: a local holds the slot of the current
 instruction, and on any exception the kernel sets ``t.idx``, adds the
@@ -285,20 +288,6 @@ def _d_scalar(kind: str, count: int, inline: Dict[Op, str]):
     return describe
 
 
-def _d_reg_mem(kind: str):
-    """Describer of ``op reg, mem`` (LEA, XCHG)."""
-    def describe(program, block, k, instr, env):
-        operands = instr.operands
-        if len(operands) != 2:
-            return None
-        dst = _register(operands[0])
-        mem = _operand(operands[1], k, 1, env)
-        if dst is None or mem is None or mem[0] != "m":
-            return None
-        return (kind, dst, mem)
-    return describe
-
-
 def _d_cmov(program, block, k, instr, env):
     operands = instr.operands
     if len(operands) != 2:
@@ -308,33 +297,6 @@ def _d_cmov(program, block, k, instr, env):
     if dst is None or src is None:
         return None
     return ("cmov", int(instr.op), dst, src)
-
-
-def _d_aadd(program, block, k, instr, env):
-    operands = instr.operands
-    if len(operands) != 3:
-        return None
-    dst = operands[0]
-    if dst is not None:
-        dst = _register(dst)
-        if dst is None:
-            return None
-    mem = _operand(operands[1], k, 1, env)
-    src = _operand(operands[2], k, 2, env)
-    if mem is None or mem[0] != "m" or src is None:
-        return None
-    return ("aadd", dst, mem, src)
-
-
-def _d_ioread(program, block, k, instr, env):
-    operands = instr.operands
-    dst = _register(operands[0]) if len(operands) == 1 else None
-    return ("ioread", dst) if dst is not None else None
-
-
-def _d_bare(kind: str):
-    shape = (kind,)
-    return lambda program, block, k, instr, env: shape
 
 
 def _d_branch(program, block, k, instr, env):
@@ -395,18 +357,11 @@ def _d_ret(program, block, k, instr, env):
 
 
 #: ``Op -> describer(program, block, slot, instr, env) -> shape | None``
-#: (``None``: the slot runs through the interpreter's method).
+#: (``None``, or no entry: the slot runs through the interpreter's method).
 _DESCRIBE = {
     Op.MOV: _fixed("mov", 2),
-    Op.LEA: _d_reg_mem("lea"),
     Op.CMP: _fixed("cmp", 2),
     Op.FCMP: _fixed("cmp", 2),
-    Op.XCHG: _d_reg_mem("xchg"),
-    Op.AADD: _d_aadd,
-    Op.IOREAD: _d_ioread,
-    Op.IOWRITE: _fixed("iowrite", 1),
-    Op.NOP: _d_bare("nop"),
-    Op.HALT: _d_bare("halt"),
     Op.JMP: _d_branch,
     Op.CALL: _d_call,
     Op.RET: _d_ret,
@@ -438,7 +393,7 @@ def _describe_block(program: Program,
 # ----------------------------------------------------------------------
 # Generating a kernel from a range shape.
 
-_TERMINATOR_SHAPES = frozenset({"jmp", "jcc", "call", "ret", "halt"})
+_TERMINATOR_SHAPES = frozenset({"jmp", "jcc", "call", "ret"})
 
 
 class _Emitter:
@@ -487,24 +442,19 @@ class _Emitter:
             expr += f" + r[{index}] * s{k}_{o}"
         return expr
 
-    def record(self, k: int, stores: Tuple[bool, ...], addr: str,
-               size: int) -> None:
-        """The ``on_mem`` events of slot ``k`` at ``addr``, one per
-        store flag: a memory row each for a live thread, else the hook.
+    def record(self, k: int, is_store: bool, addr: str, size: int) -> None:
+        """The memory row of slot ``k`` at ``addr``, for a live thread.
 
         The row is :meth:`ColumnWriter.mem` after the recorder's stack
-        rebasing (``TraceRecorder.on_mem``).
+        rebasing (``TraceRecorder.on_mem``); a thread that is not live
+        records nothing, as ``on_mem`` does.
         """
         if not self.traced:
             return
-        self.uses_hooks = self.inline_mem = True
-        self.line("if lv is None:")
-        for store in stores:
-            self.line(f"    hk.on_mem(tid, {k}, {store}, {addr}, {size})")
-        self.line("else:")
-        self.line(f"    c = {stack_rebase_source(addr, 'sb')}")
-        for store in stores:
-            self.line(f"    mb += MR({k}, {int(store)}, c, {size})")
+        self.inline_mem = True
+        self.line("if lv is not None:")
+        self.line(f"    mb += MR({k}, {int(is_store)}, "
+                  f"{stack_rebase_source(addr, 'sb')}, {size})")
 
     def access(self, k: int, o: int, shape, is_store: bool, addr: str,
                value: str = "") -> None:
@@ -513,7 +463,7 @@ class _Emitter:
         self.uses_mem = True
         self.line(f"{addr} = {self.ea(k, o, shape)}")
         self.line("me += 1")
-        self.record(k, (is_store,), addr, size)
+        self.record(k, is_store, addr, size)
         if is_store:
             self.line(f"mem.store({addr}, {value}, {size})")
 
@@ -554,10 +504,6 @@ class _Emitter:
             self.line(f"r[{dst[1]}] = mem.load(a, {src[3]})")
             return
         self.write(k, 0, dst, self.read(k, 1, src, "x"))
-
-    def _lea(self, k, shape):
-        _t, dst, mem = shape
-        self.line(f"r[{dst}] = {self.ea(k, 1, mem)}")
 
     def _bin(self, k, shape):
         _t, op, dst, a, b = shape
@@ -602,48 +548,6 @@ class _Emitter:
         self.line(f"p = {self.read(k, 0, a, 'x')}")
         self.line(f"q = {self.read(k, 1, b, 'z', 'b')}")
         self.line(f"t.flags = {INLINE_COMPARE.format('p', 'q')}")
-
-    def _xchg(self, k, shape):
-        _t, dst, mem = shape
-        size = mem[3]
-        self.uses_mem = True
-        self.line(f"a = {self.ea(k, 1, mem)}")
-        self.line(f"x = mem.load(a, {size})")
-        self.line("me += 2")
-        self.record(k, (False, True), "a", size)
-        self.line(f"mem.store(a, r[{dst}], {size})")
-        self.line(f"r[{dst}] = x")
-
-    def _aadd(self, k, shape):
-        _t, dst, mem, src = shape
-        size = mem[3]
-        self.uses_mem = True
-        self.line(f"a = {self.ea(k, 1, mem)}")
-        self.line(f"w = mem.load(a, {size})")
-        self.line("me += 2")
-        self.record(k, (False, True), "a", size)
-        value = self.read(k, 2, src, "x", "b")
-        self.line(f"mem.store(a, w + {value}, {size})")
-        if dst is not None:
-            self.line(f"r[{dst}] = w")
-
-    def _ioread(self, k, shape):
-        dst = shape[1]
-        self.line("p = t.io_pos")
-        self.line("q = t.io_in")
-        self.line("if p < len(q):")
-        self.line(f"    r[{dst}] = q[p]")
-        self.line("    t.io_pos = p + 1")
-        self.line("else:")
-        self.line(f"    r[{dst}] = 0")
-        self.hook('on_skip(tid, m.io_cost, "io")')
-
-    def _iowrite(self, k, shape):
-        self.line(f"t.io_out.append({self.read(k, 0, shape[2], 'x')})")
-        self.hook('on_skip(tid, m.io_cost, "io")')
-
-    def _nop(self, k, shape):
-        pass
 
     def _delegate(self, k, shape):
         """Run slot ``k`` through ``Machine._op_*`` mid-range."""
@@ -756,14 +660,8 @@ class _Emitter:
                 self.line(here)
             self.hook(f"on_call(tid, CN{k})")
             self.enter(f"B{k}", f"B{k}_a, B{k}_n")
-        elif kind == "ret":
+        else:
             self._ret(shape, here)
-        else:  # halt
-            if here:
-                self.line(here)
-            self.line("t.state = DONE")
-            self.line("m._n_done += 1")
-            self.hook("on_thread_end(tid)")
 
     def _ret(self, shape, here: str) -> None:
         value = "v" if shape[1] is not None else "0"
@@ -797,7 +695,7 @@ class _Emitter:
         self.enter("b", "b.addr, len(b.instructions)")
 
     def terminal_delegate(self, k: int) -> None:
-        """LOCK/UNLOCK/BARRIER (or an odd terminator) via the interpreter."""
+        """LOCK/UNLOCK/BARRIER/HALT (or an odd terminator) via _op_*."""
         self.flush(k)
         self.line(f"i = {~k}")
         self.line(f"X{k}(m, t, I{k})")
@@ -822,8 +720,10 @@ def _kernel_source(traced: bool, start: int, shapes: tuple) -> str:
     body_lines = em.lines or ["        pass"]
 
     head = ["def kernel(m, t):", "    r = t.regs"]
+    if em.uses_hooks or em.inline_mem:
+        head.append("    tid = t.tid")
     if em.uses_hooks:
-        head += ["    tid = t.tid", "    hk = m.hooks"]
+        head.append("    hk = m.hooks")
     if em.inline_mem or em.inline_blocks:
         head += ["    lv = m._live.get(tid)",
                  "    if lv is not None:",

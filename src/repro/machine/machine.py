@@ -16,9 +16,12 @@ Two execution engines share this scheduler (the ``engine`` knob):
   *kernel*, a Python function over a range of a basic block
   (:mod:`repro.machine.compiled`): operands are decoded once, code is
   cached by instruction shape and bound per program, and a native
-  variant leaves the hook calls out under :class:`NullHooks`.
+  variant leaves the hook calls out under :class:`NullHooks`.  Traced
+  kernels append the tracer's rows through its ``live`` map, so this
+  engine runs :class:`NullHooks` or hooks with that map; opcodes no
+  workload loops on run through the interpreter's ``_op_*`` methods.
 * ``"interp"`` -- the seed interpreter: per-instruction dict dispatch
-  with operand decoding in ``_read``/``_write``.
+  with operand decoding in ``_read``/``_write``; it runs any hooks.
 
 Both engines are bit-identical in every observable -- traces, metrics,
 counters, error behavior (see ``tests/test_engine_parity.py``) -- so the
@@ -125,7 +128,9 @@ class Machine:
         A linked :class:`~repro.program.Program`.
     hooks:
         Instrumentation callbacks (see :class:`NullHooks`); the tracer in
-        :mod:`repro.tracer` plugs in here.
+        :mod:`repro.tracer` plugs in here.  The compiled engine raises
+        :class:`MachineError` for hooks other than ``NullHooks`` that
+        have no ``live`` map.
     quantum:
         Instructions executed per scheduling turn.
     spin_cost / io_cost:
@@ -179,11 +184,18 @@ class Machine:
             # to NullHooks itself -- a subclass may override hooks, so
             # it gets the traced variant.
             self._traced = type(self.hooks) is not NullHooks
+            if self._traced:
+                #: The tracer's ``tid -> (ColumnWriter, stack base)``
+                #: map: traced kernels append rows through it and call
+                #: no ``on_mem``, so hooks without it are refused.
+                try:
+                    self._live = self.hooks.live
+                except AttributeError:
+                    raise MachineError(
+                        f"{type(self.hooks).__name__} has no 'live' map, "
+                        "which the compiled engine records through; run "
+                        "other hooks with engine='interp'") from None
             self._kernels = kernel_table(program, self._traced)
-            #: ``tid -> ColumnWriter`` whose block and memory rows traced
-            #: kernels append inline instead of calling the hooks (the
-            #: tracer's ``live`` map; empty for any other hooks object).
-            self._live = getattr(self.hooks, "live", {})
         else:
             self._kernels = None
         # Initial program break for the ISA-level allocator: one word past

@@ -13,7 +13,10 @@ substrate:
   ``ProcessPoolExecutor.submit``, so the parent's current module
   attributes (including monkeypatched ones) decide what runs.  Replay
   runs on the process-wide :func:`shared_pool`; each serve shard
-  (:mod:`repro.shards`) is a one-worker pool of its own;
+  (:mod:`repro.shards`) is a one-worker pool of its own.  A worker
+  first points every socket it inherited, other than its own pipe, at
+  ``/dev/null``: it holds no embedding server's listener or clients
+  open, and reads EOF once its parent is gone;
 
 * the **shared-memory column arena** (:class:`ColumnArena`): the
   packed columns of a whole :class:`~repro.tracer.events.TraceSet`
@@ -70,6 +73,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import stat
 import time
 import traceback
 import warnings
@@ -431,9 +435,38 @@ def report_progress(value: Any) -> None:
         pass
 
 
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket but descriptor ``keep`` at ``/dev/null``.
+
+    A forked worker inherits every descriptor its parent holds: an
+    embedding server's listener and connections, and the parent's end
+    of each worker pipe -- its own among them, which would keep it from
+    ever reading EOF once the parent is gone.  ``dup2``, not ``close``:
+    the inherited socket objects still own those numbers, and must never
+    close a file that reuses one.
+    """
+    try:
+        names = os.listdir("/dev/fd")
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in names:
+            fd = int(name)
+            try:
+                if fd == keep or not stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    continue
+            except OSError:
+                continue  # the listing's own descriptor, closed by now
+            os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def _worker_main(conn) -> None:
     """The persistent worker loop: one reply per received message."""
     global _WORKER_CTX
+    _drop_inherited_sockets(conn.fileno())
     ctx = _WorkerContext(conn)
     _WORKER_CTX = ctx
     while True:

@@ -101,10 +101,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import os
 import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
@@ -681,8 +679,7 @@ class AnalysisServer:
             self._dispatch_gate = asyncio.Event()
             await self._loop.run_in_executor(None, self._shard_pool.start)
         elif self._session.jobs > 1:
-            # Fork the replay workers before the listener exists, as
-            # shards are, so none inherits (and holds open) a client.
+            # Start the replay workers before binding, as shards are.
             try:
                 await self._loop.run_in_executor(
                     None, pool_mod.shared_pool().ensure_workers,
@@ -693,7 +690,6 @@ class AnalysisServer:
             self._handle_connection, self.host, self.port)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
-        _LIVE_SERVERS.add(self)
         self.started_at = time.time()
         self._runner_task = self._loop.create_task(
             self._runner_sharded() if self.shards else self._runner())
@@ -726,15 +722,6 @@ class AnalysisServer:
         if self._shard_pool is not None:
             await self._loop.run_in_executor(None, self._shard_pool.close)
         await self._loop.run_in_executor(None, self._shutdown_executors)
-
-    def _socket_fds(self) -> List[int]:
-        """Descriptors of the listener and every open connection."""
-        socks = (list(self._server.sockets)
-                 if self._server is not None else [])
-        socks += [writer.get_extra_info("socket")
-                  for writer in self._connections.values()]
-        return [sock.fileno() for sock in socks
-                if sock is not None and sock.fileno() >= 0]
 
     def _shutdown_executors(self) -> None:
         self._run_exec.shutdown(wait=True)
@@ -1567,36 +1554,6 @@ class AnalysisServer:
             f"Connection: {connection}\r\n\r\n"
         ).encode("latin-1")
         writer.write(head + data)
-
-
-#: Started servers, whose sockets a forked child must not keep open.
-_LIVE_SERVERS: "weakref.WeakSet[AnalysisServer]" = weakref.WeakSet()
-
-
-def _drop_server_sockets() -> None:
-    """In a forked child, release the HTTP sockets of the parent's servers.
-
-    A replay worker forked while a server listens (respawned after a
-    crash, or spawned late) would otherwise hold the listener and every
-    open connection until it exits.  Each descriptor is pointed at
-    ``/dev/null`` instead of closed: the child's copies of the socket
-    objects still own those numbers, and must never close a file that
-    reuses one.
-    """
-    fds = [fd for server in list(_LIVE_SERVERS)
-           for fd in server._socket_fds()]
-    if not fds:
-        return
-    null = os.open(os.devnull, os.O_RDWR)
-    try:
-        for fd in fds:
-            os.dup2(null, fd)
-    finally:
-        os.close(null)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_server_sockets)
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:

@@ -12,9 +12,11 @@ Like PIN's ``INS_InsertIfCall``/``INS_InsertThenCall`` split, the cheap
 case runs inline: :attr:`TraceRecorder.live` names the CPU threads whose
 trace is open with no excluded function active, and traced kernels
 (:mod:`repro.machine.compiled`) append those threads' block and memory
-rows themselves, calling these hooks only for the other threads.  This
-class stays the one definition of trace open and close, exclusion and
-skips.
+rows themselves.  For the other threads a kernel calls :meth:`on_block`
+and records no memory access (:meth:`on_mem` records none for them
+either); the interpreter, and the opcodes the kernels delegate to it,
+call :meth:`on_mem`.  This class stays the one definition of trace open and
+close, exclusion and skips.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa import Mem, Op
 from repro.machine import (
-    DeadlockError, InstructionLimitError, Machine, MachineError,
+    DeadlockError, InstructionLimitError, Machine, MachineError, NullHooks,
 )
 from repro.program import ProgramBuilder
 from repro.tracer import TOK_BLOCK, TOK_LOCK, TraceRecorder
@@ -201,6 +201,29 @@ class TestTracerEdge:
         assert traces.threads[0].closed
         assert traces.threads[0].n_instructions == 2
 
+    def test_compiled_engine_rejects_hooks_without_live(self):
+        """Traced kernels append memory rows through the hooks' ``live``
+        map and call no ``on_mem``: hooks without the map would lose
+        their memory events, so only the interpreter runs them."""
+        from util import build_lock_program
+
+        class MemCounter(NullHooks):
+            def __init__(self):
+                self.mems = 0
+
+            def on_mem(self, tid, slot, is_store, addr, size):
+                self.mems += 1
+
+        program, _lock, _counter = build_lock_program()
+        with pytest.raises(MachineError, match="engine='interp'"):
+            Machine(program, hooks=MemCounter(), engine="compiled")
+        hooks = MemCounter()
+        machine = Machine(program, hooks=hooks, engine="interp")
+        for t in range(4):
+            machine.spawn("worker", [t])
+        machine.run()
+        assert hooks.mems == machine.mem_events > 0
+
 
 class TestProgramValidationEdge:
     def test_empty_function_rejected_at_link(self):
@@ -300,6 +323,22 @@ def _address_below_int64():
     return b.build(), 2, {}
 
 
+def _negative_rmw(op):
+    """An XCHG or AADD on a negative address, after a recorded load."""
+    def case():
+        b = ProgramBuilder()
+        cell = b.data("cell", 8)
+        with b.function("worker", args=["tid"]) as f:
+            r, v = f.reg(), f.reg()
+            f.load(v, Mem(None, disp=cell.value))
+            f.sub(r, f.a(0), 100)
+            addend = (f.a(0),) if op is Op.AADD else ()
+            f.emit(op, v, Mem(r, disp=0), *addend)
+            f.ret(v)
+        return b.build(), 2, {}
+    return case
+
+
 def _limit_mid_block(quantum):
     """``max_instructions`` crossed in the middle of a loop body."""
     def case():
@@ -330,6 +369,8 @@ _FAILING = {
     "limit_mid_block_q64": _limit_mid_block(64),
     "limit_mid_block_q1": _limit_mid_block(1),
     "address_below_int64": _address_below_int64,
+    "xchg_negative_address": _negative_rmw(Op.XCHG),
+    "aadd_negative_address": _negative_rmw(Op.AADD),
 }
 
 #: The error of each case that is not a ``MachineError``: the recorder
@@ -423,3 +464,90 @@ def test_final_thread_state_matches_interpreter(quantum, traced):
                  t.retval) for t in machine.threads]
 
     assert final("compiled") == final("interp")
+
+
+def _delegated_ops_program():
+    """Every opcode the compiled engine runs through ``Machine._op_*``.
+
+    ``worker`` (a root, also called from the untraced ``server``) runs
+    LEA, XCHG on a heap cell and on a stack slot, AADD with and without
+    a destination, NOP, IOREAD with input and with exhausted input, and
+    IOWRITE; the root ``halter`` ends in HALT.
+    """
+    b = ProgramBuilder()
+    cell = b.data("cell", 8)
+    with b.function("worker", args=["tid"]) as f:
+        a, v, w, x, y, i = (f.reg() for _ in range(6))
+        off = f.stack_alloc(16)
+        f.lea(a, Mem(f.sp, disp=off))
+        f.store(Mem(a), f.a(0))
+        f.mov(v, 7)
+
+        def body():
+            f.emit(Op.XCHG, v, Mem(None, disp=cell.value))
+            f.emit(Op.XCHG, v, f.stack_slot(off))
+            f.atomic_add(w, Mem(None, disp=cell.value), i)
+            f.emit(Op.AADD, None, f.stack_slot(off + 8), v)
+            f.nop()
+            f.add(v, v, w)
+
+        f.for_range(i, 0, 3, body)
+        f.io_read(x)
+        f.io_read(y)
+        f.io_write(f.stack_slot(off + 8))
+        f.io_write(v)
+        f.add(x, x, y)
+        f.ret(x)
+    with b.function("halter", args=["tid"]) as f:
+        r = f.reg()
+        f.lea(r, Mem(None, disp=cell.value, index=f.a(0), scale=8))
+        f.emit(Op.XCHG, r, Mem(None, disp=cell.value))
+        f.nop()
+        f.io_write(r)
+        f.halt()
+    with b.function("server", args=["tid"]) as f:
+        r = f.reg()
+        f.io_read(r)
+        f.io_write(r)
+        f.call(r, "worker", [f.a(0)])
+        f.io_write(r)
+        f.ret(r)
+    return b.build()
+
+
+@pytest.mark.parametrize("quantum", [1, 3, 64])
+def test_delegated_ops_trace_identically(quantum):
+    """The opcodes the compiled engine delegates record, count and
+    leave thread state exactly as the interpreter does."""
+    program = _delegated_ops_program()
+    kinds = ("server", "worker", "halter")
+
+    def run(engine):
+        recorder = TraceRecorder(roots=["worker", "halter"],
+                                 program=program)
+        machine = Machine(program, hooks=recorder, engine=engine,
+                          quantum=quantum)
+        for tid in range(6):
+            kind = kinds[tid % 3]
+            # A worker's second IOREAD finds its input exhausted; a
+            # server reads one more input before its worker call.
+            io_in = ([tid + 100, tid + 200] if kind == "server"
+                     else [tid + 200])
+            machine.spawn(kind, [tid], io_in=io_in)
+        machine.run()
+        traces = recorder.traces
+        return {
+            "threads": [(t.packed().column_bytes(), list(t.skipped.items()))
+                        for t in traces.threads],
+            "untraced_skipped": dict(traces.untraced_skipped),
+            "counts": (machine.total_instructions, machine.mem_events),
+            "results": [(t.retval, t.io_out, t.instructions_executed,
+                         t.state) for t in machine.threads],
+        }
+
+    interp = run("interp")
+    assert run("compiled") == interp
+    assert len(interp["threads"]) == 6
+    # Two servers, each with three I/O operations outside ``worker``.
+    assert interp["untraced_skipped"] == {"io": 2 * 3 * 60}
+    assert all(state == "done" for *_r, state in interp["results"])

@@ -24,6 +24,12 @@ import gc
 import glob
 import os
 import pickle
+import select
+import signal
+import socket
+import stat
+import subprocess
+import sys
 import time
 
 import pytest
@@ -197,6 +203,42 @@ def _chatty(payload):
     return ("done", payload)
 
 
+def _inet_ports(_payload):
+    """Pool task: the local ports of the worker's AF_INET sockets."""
+    ports = []
+    for name in os.listdir("/dev/fd"):
+        try:
+            if not stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                continue
+            sock = socket.socket(fileno=os.dup(int(name)))
+        except OSError:
+            continue  # the listing's own descriptor, closed by now
+        with sock:
+            if sock.family in (socket.AF_INET, socket.AF_INET6):
+                ports.append(sock.getsockname()[1])
+    return sorted(ports)
+
+
+def _running(pid):
+    """Whether ``pid`` is alive and not a zombie (an exited orphan that
+    nothing has reaped yet)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as status:
+            return status.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_NO_DEV_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                                reason="lists descriptors through /dev/fd")
+
+
 @pytest.mark.usefixtures("quiet_faults")
 class TestWorkerPool:
     def test_workers_are_reused_across_batches(self):
@@ -292,6 +334,56 @@ class TestWorkerPool:
             pool.run_tasks([(_echo, 0, "t0")], jobs=1)
         # shared_pool() hands out a fresh one after a close/shutdown.
         assert pool_mod.shared_pool() is not pool
+
+    @_NO_DEV_FD
+    def test_workers_drop_the_sockets_they_inherit(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = socket.create_connection(listener.getsockname())
+        server_side, _addr = listener.accept()
+        try:
+            pool = _fresh_pool()
+            out = pool.run_tasks([(_inet_ports, None, "t0"),
+                                  (_inet_ports, None, "t1")], jobs=2)
+            assert out == [[], []]
+        finally:
+            for sock in (server_side, client, listener):
+                sock.close()
+            pool_mod.shutdown()
+
+    @_NO_DEV_FD
+    def test_workers_exit_when_their_parent_is_killed(self):
+        # Each worker must read EOF from its pipe once the parent dies:
+        # no worker may hold the parent's end of any pipe.
+        code = ("import time\n"
+                "from repro import pool\n"
+                "workers = pool.shared_pool().ensure_workers(2)\n"
+                "print(*[slot.process.pid for slot in workers], "
+                "flush=True)\n"
+                "time.sleep(60)\n")
+        env = dict(os.environ)
+        env.pop("THREADFUSER_FAULTS", None)
+        src = os.path.dirname(os.path.dirname(pool_mod.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        parent = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            ready, _w, _x = select.select([parent.stdout], [], [], 60.0)
+            pids = ([int(pid) for pid in parent.stdout.readline().split()]
+                    if ready else [])
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        alive = pids
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = [pid for pid in alive if _running(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []
 
 
 # -- the substrate parity matrix -----------------------------------------
