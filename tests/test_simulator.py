@@ -1,6 +1,11 @@
 """Unit tests for the GPU simulator, caches and CPU timing model."""
 
+import dataclasses
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa import classes
 from repro.simulator import (
@@ -52,6 +57,62 @@ class TestCache:
         cache.access(0)
         cache.access(0)
         assert cache.hit_rate() == pytest.approx(2 / 3)
+
+
+class EagerCache:
+    """Reference model for :class:`Cache`: every set is built up front as
+    one ``OrderedDict`` in a list, with LRU order and allocate-on-miss."""
+
+    def __init__(self, config):
+        self.config = config
+        self._sets = [OrderedDict() for _ in range(config.n_sets)]
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, addr, is_write=False):
+        line = addr // self.config.line_bytes
+        cset = self._sets[line % self.config.n_sets]
+        if line in cset:
+            cset.move_to_end(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        cset[line] = True
+        if len(cset) > self.config.assoc:
+            cset.popitem(last=False)
+        return False
+
+
+@st.composite
+def cache_streams(draw):
+    """A small cache geometry and a read/write stream over about three
+    times its capacity, so hits, misses and evictions all occur."""
+    n_sets = draw(st.integers(min_value=1, max_value=64))
+    assoc = draw(st.integers(min_value=1, max_value=8))
+    line_bytes = draw(st.sampled_from([32, 64]))
+    # Sizes that are not a whole number of sets round down to n_sets.
+    slack = draw(st.integers(min_value=0, max_value=line_bytes * assoc - 1))
+    config = CacheConfig(n_sets * line_bytes * assoc + slack, assoc,
+                         line_bytes=line_bytes)
+    base = draw(st.sampled_from([0, 0x1000_0000, 0x4_0000_0000]))
+    span = 3 * n_sets * assoc * line_bytes
+    stream = draw(st.lists(
+        st.tuples(st.integers(min_value=base, max_value=base + span),
+                  st.booleans()),
+        max_size=400))
+    return config, stream
+
+
+class TestLazyCacheAgainstEager:
+    @settings(max_examples=200, deadline=None)
+    @given(cache_streams())
+    def test_same_hit_or_miss_on_every_access(self, case):
+        config, stream = case
+        lazy, eager = Cache(config), EagerCache(config)
+        for addr, is_write in stream:
+            assert lazy.access(addr, is_write) == eager.access(addr, is_write)
+        assert (lazy.hits, lazy.misses) == (eager.hits, eager.misses)
+        assert lazy.accesses == len(stream)
 
 
 def _mini_kernel(n_instr=100, n_warps=2, mem_every=0, space=SPACE_GLOBAL,
@@ -218,6 +279,46 @@ class TestCPUSimulator:
 
 
 class TestSpeedupProjection:
+    #: Exact ``project_speedup`` outputs (seed 7, no upscaling):
+    #: ``repr(simt_efficiency)``, every ``GPUStats`` field in declaration
+    #: order, and the CPU model's cycles.  The 16-thread sets run on one
+    #: SM and never hit in L2; ``btree``@96 does on ``small_simt_cpu``.
+    PINNED = {
+        ("md5", 16, "rtx3070", 32): (
+            "0.5", (5811, 1026, 16416, 81, 324, 272, 52, 0, 52, 1664, 4785),
+            1912),
+        ("md5", 16, "small_simt_cpu", 8): (
+            "1.0", (3184, 2052, 16416, 162, 356, 304, 52, 0, 52, 1664, 1132),
+            1912),
+        ("memcached", 16, "rtx3070", 32): (
+            "0.4416208791208791",
+            (1581, 182, 2572, 12, 32, 10, 22, 0, 22, 704, 1399), 1063),
+        ("memcached", 16, "small_simt_cpu", 8): (
+            "0.8832417582417582",
+            (971, 364, 2572, 24, 45, 23, 22, 0, 22, 704, 607), 1063),
+        ("btree", 96, "rtx3070", 32): (
+            "0.7331632653061224",
+            (3033, 490, 11496, 81, 777, 588, 189, 0, 189, 6048, 2543), 3799),
+        ("btree", 96, "small_simt_cpu", 8): (
+            "0.7464935064935065",
+            (2006, 1925, 11496, 324, 1297, 1026, 271, 82, 189, 6048, 1288),
+            3799),
+    }
+
+    @pytest.mark.parametrize("name,threads", [("btree", 96), ("md5", 16),
+                                              ("memcached", 16)])
+    def test_pinned_outputs(self, name, threads):
+        from repro.workloads import get_workload, trace_instance
+
+        instance = get_workload(name).instantiate(threads, seed=7)
+        traces, _machine = trace_instance(instance)
+        for config, warp in ((rtx3070, 32), (small_simt_cpu, 8)):
+            result = project_speedup(traces, instance.program, config(),
+                                     warp_size=warp)
+            got = (repr(result.simt_efficiency),
+                   dataclasses.astuple(result.gpu), result.cpu.cycles)
+            assert got == self.PINNED[name, threads, config.__name__, warp]
+
     def test_uniform_workload_speeds_up_with_scale(self):
         program = build_loop_program()
         traces, _m = run_traced(
