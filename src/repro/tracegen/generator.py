@@ -39,6 +39,9 @@ class WarpTraceVisitor:
         self.program = program
         self.stream = stream
         self._pending: Optional[Tuple[int, int, Dict]] = None
+        #: Block address -> the block's micro-ops as ``(slot, pc,
+        #: op_class)``, decomposed once per static block.
+        self._plans: Dict[int, List[Tuple[int, int, str]]] = {}
 
     # -- replay visitor protocol -------------------------------------------
 
@@ -64,26 +67,28 @@ class WarpTraceVisitor:
             return
         block_addr, mask, mems = self._pending
         self._pending = None
-        block = self.program.block_by_addr[block_addr]
-        for slot, instr in enumerate(block.instructions):
-            for op_class in decompose(instr):
-                if op_class in (classes.LOAD, classes.STORE):
-                    accesses = mems.get((slot, op_class == classes.STORE))
-                    if accesses:
-                        space = space_of(accesses[0][0])
-                    else:
-                        # A lane-predicated access that produced no record
-                        # (should not happen; keep the stream well-formed).
-                        space = SPACE_GLOBAL
-                        accesses = []
-                    self.stream.append(
-                        WarpInstruction(instr.addr, op_class, mask,
-                                        space=space, accesses=accesses)
-                    )
+        plan = self._plans.get(block_addr)
+        if plan is None:
+            block = self.program.block_by_addr[block_addr]
+            plan = self._plans[block_addr] = [
+                (slot, instr.addr, op_class)
+                for slot, instr in enumerate(block.instructions)
+                for op_class in decompose(instr)]
+        append = self.stream.append
+        for slot, pc, op_class in plan:
+            if op_class in (classes.LOAD, classes.STORE):
+                accesses = mems.get((slot, op_class == classes.STORE))
+                if accesses:
+                    space = space_of(accesses[0][0])
                 else:
-                    self.stream.append(
-                        WarpInstruction(instr.addr, op_class, mask)
-                    )
+                    # A lane-predicated access that produced no record
+                    # (should not happen; keep the stream well-formed).
+                    space = SPACE_GLOBAL
+                    accesses = []
+                append(WarpInstruction(pc, op_class, mask, space=space,
+                                       accesses=accesses))
+            else:
+                append(WarpInstruction(pc, op_class, mask))
 
 
 def generate_kernel_trace(traces: TraceSet, program: Program,
