@@ -132,7 +132,8 @@ class Machine:
         :class:`MachineError` for hooks other than ``NullHooks`` that
         have no ``live`` map.
     quantum:
-        Instructions executed per scheduling turn.
+        Instructions executed per scheduling turn: a positive ``int``,
+        else :class:`MachineError`.
     spin_cost / io_cost:
         Untraced instructions charged per failed lock attempt / I-O
         operation -- these feed the paper's skipped-instruction accounting
@@ -152,6 +153,11 @@ class Machine:
             raise MachineError("program must be linked before execution")
         if engine not in ("compiled", "interp"):
             raise MachineError(f"unknown execution engine {engine!r}")
+        # A turn of no instructions would still count as progress, so
+        # run() would spin forever on a quantum below 1.
+        if not isinstance(quantum, int) or quantum < 1:
+            raise MachineError(
+                f"quantum must be a positive int, got {quantum!r}")
         self.program = program
         self.hooks = hooks if hooks is not None else NullHooks()
         self.quantum = quantum

@@ -52,6 +52,17 @@ class TestSchedulingEdge:
         machine.run()
         assert all(t.state == "done" for t in machine.threads)
 
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("quantum", [0, -1, 2.5])
+    def test_quantum_must_be_a_positive_int(self, engine, quantum):
+        # Construction refuses it: run() would spin forever on 0 or -1,
+        # and the compiled engine cannot slice a block by 2.5.
+        b = ProgramBuilder()
+        with b.function("worker", args=["tid"]) as f:
+            f.ret(0)
+        with pytest.raises(MachineError, match="quantum"):
+            Machine(b.build(), quantum=quantum, engine=engine)
+
 
 class TestLockEdge:
     def test_two_lock_deadlock_detected(self):
