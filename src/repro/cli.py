@@ -47,6 +47,24 @@ from .tracer import save_traces
 from .workloads import all_workloads, get_workload
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_int_list(text: str) -> List[int]:
+    """argparse type: comma-separated positive integers."""
+    return [_positive_int(item) for item in text.split(",") if item]
+
+
 def _add_workload_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", help="workload name (see 'list')")
     parser.add_argument("--threads", type=int, default=96,
@@ -121,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze",
                              help="SIMT efficiency + per-function report")
     _add_workload_options(analyze)
-    analyze.add_argument("--warp-size", type=int, default=32)
+    analyze.add_argument("--warp-size", type=_positive_int, default=32)
     analyze.add_argument("--batching", default="linear",
                          choices=["linear", "cpu_affine", "strided"])
     analyze.add_argument("--emulate-locks", action="store_true",
@@ -139,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile the analysis pipeline on a workload "
              "(analyze with --profile always on)")
     _add_workload_options(profile)
-    profile.add_argument("--warp-size", type=int, default=32)
+    profile.add_argument("--warp-size", type=_positive_int, default=32)
     profile.add_argument("--batching", default="linear",
                          choices=["linear", "cpu_affine", "strided"])
     profile.add_argument("--emulate-locks", action="store_true")
@@ -151,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     speedup = sub.add_parser("speedup",
                              help="project GPU speedup vs a 20-core CPU")
     _add_workload_options(speedup)
-    speedup.add_argument("--warp-size", type=int, default=32)
+    speedup.add_argument("--warp-size", type=_positive_int, default=32)
     speedup.add_argument("--gpu", default="rtx3070",
                          choices=["rtx3070", "small-simt-cpu"])
     speedup.add_argument("--launch-threads", type=int, default=None,
@@ -161,14 +179,15 @@ def _build_parser() -> argparse.ArgumentParser:
     tracegen = sub.add_parser("tracegen",
                               help="emit an Accel-Sim-style warp trace")
     _add_workload_options(tracegen)
-    tracegen.add_argument("--warp-size", type=int, default=32)
+    tracegen.add_argument("--warp-size", type=_positive_int, default=32)
     tracegen.add_argument("-o", "--output", required=True,
                           help="output trace file")
 
     sweep = sub.add_parser(
         "sweep", help="SIMT efficiency across warp widths (Fig. 1 row)")
     _add_workload_options(sweep)
-    sweep.add_argument("--warp-sizes", default="8,16,32",
+    sweep.add_argument("--warp-sizes", type=_positive_int_list,
+                       default="8,16,32",
                        help="comma-separated widths (default 8,16,32)")
     sweep.add_argument("--emulate-locks", action="store_true")
     sweep.add_argument("--lock-reconvergence", default="unlock",
@@ -411,14 +430,13 @@ def _cmd_tracegen(args) -> int:
 
 def _cmd_sweep(args) -> int:
     session = _session_from_args(args)
-    sizes = [int(x) for x in args.warp_sizes.split(",") if x]
     config = AnalyzerConfig(
         emulate_locks=args.emulate_locks,
         lock_reconvergence=args.lock_reconvergence,
     )
     reports = session.sweep(
-        args.workload, sizes, n_threads=args.threads, seed=args.seed,
-        config=config,
+        args.workload, args.warp_sizes, n_threads=args.threads,
+        seed=args.seed, config=config,
     )
     print(f"{'warp size':>10} {'SIMT eff':>10} {'issues':>10} "
           f"{'heap txn':>10}")

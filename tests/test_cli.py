@@ -124,6 +124,22 @@ class TestSweepCommand:
         assert rc == 0
 
 
+class TestWarpSizeValidation:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "vectoradd", "--warp-size", "0"],
+        ["profile", "vectoradd", "--warp-size", "0"],
+        ["speedup", "vectoradd", "--warp-size", "0"],
+        ["tracegen", "vectoradd", "--warp-size", "0", "-o", "unused"],
+        ["sweep", "vectoradd", "--warp-sizes", "0,8"],
+    ], ids=lambda argv: argv[0])
+    def test_non_positive_warp_size_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--no-cache"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be a positive integer" in err
+
+
 class TestCacheLsCommand:
     def _seed(self, tmp_path):
         from repro.artifacts import (
