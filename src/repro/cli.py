@@ -67,7 +67,7 @@ def _positive_int_list(text: str) -> List[int]:
 
 def _add_workload_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", help="workload name (see 'list')")
-    parser.add_argument("--threads", type=int, default=96,
+    parser.add_argument("--threads", type=_positive_int, default=96,
                         help="logical threads to trace (default 96)")
     parser.add_argument("--seed", type=int, default=7,
                         help="input-generation seed (default 7)")
@@ -96,8 +96,8 @@ def _session_from_args(args) -> AnalysisSession:
     else:
         cache_dir = args.cache_dir or default_cache_dir()
     recorder = Recorder() if getattr(args, "profile", False) else None
-    return AnalysisSession(cache_dir=cache_dir, jobs=args.jobs,
-                           recorder=recorder)
+    return AnalysisSession(cache_dir=cache_dir,
+                           jobs=getattr(args, "jobs", 1), recorder=recorder)
 
 
 def _finish_profile(args, session: AnalysisSession,
@@ -306,18 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=int, default=None,
                        help="pending-job bound; submits beyond it get a "
                             "typed 503 (default 64)")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes per job (default 1)")
     serve.add_argument("--cache-dir", default=None,
                        help="artifact cache directory (default: "
                             "$THREADFUSER_CACHE_DIR or ~/.cache/threadfuser)")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the on-disk artifact cache (loses the "
                             "store-warm fast path across restarts)")
-    serve.add_argument("--shards", type=int, default=0,
-                       help="session worker processes serving jobs "
-                            "horizontally; sweep cells fan out across "
-                            "them (default 0: in-process session)")
 
     pool = sub.add_parser("pool", help="persistent worker-pool diagnostics")
     pool_sub = pool.add_subparsers(dest="pool_command", required=True)
@@ -328,10 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pool_info.add_argument("--no-probe", action="store_true",
                            help="only report capabilities; do not spin up "
                                 "workers or attach a probe arena")
-    pool_info.add_argument("--shards", type=int, default=0,
-                           help="also probe a serve-layer shard pool of "
-                                "N session workers and print the same "
-                                "per-shard rows as /v1/health")
     return parser
 
 
@@ -451,7 +441,12 @@ def _cmd_simulate(args) -> int:
     from .simulator import GPUSimulator
     from .tracegen import load_kernel_trace
 
-    kernel = load_kernel_trace(args.trace)
+    try:
+        kernel = load_kernel_trace(args.trace)
+    except OSError as exc:
+        print(f"error: cannot read trace file {args.trace!r} "
+              f"({exc.strerror or exc})", file=sys.stderr)
+        return 2
     config = rtx3070() if args.gpu == "rtx3070" else small_simt_cpu()
     if args.scheduler:
         config.scheduler = args.scheduler
@@ -741,19 +736,6 @@ def _cmd_pool(args) -> int:
     print(f"arenas:         {info.get('arenas', 0)} open "
           f"({info.get('arena_bytes', 0)} bytes), "
           f"{info.get('leaked_segments', 0)} leak-deferred")
-    if getattr(args, "shards", 0):
-        from . import shards as shards_mod
-
-        probe = shards_mod.probe_shards(count=args.shards)
-        print(f"shards:         {probe['shards']} probed "
-              f"({probe['start_method']} start, "
-              f"{probe['spawn_s']:.2f}s spawn)")
-        for row in probe["detail"]:
-            print(f"  shard {row['shard']}: pid {row['pid']}, "
-                  f"{'alive' if row['alive'] else 'dead'}, "
-                  f"queue {row['queue']}, "
-                  f"{row['cells_done']} cells, "
-                  f"{row['respawns']} respawns")
     return 0
 
 
@@ -761,16 +743,10 @@ def _cmd_serve(args) -> int:
     from . import serve as serve_mod
 
     session = _session_from_args(args)
-    try:
-        server = serve_mod.AnalysisServer(
-            session=session, host=args.host, port=args.port,
-            queue_depth=args.queue_depth or serve_mod.DEFAULT_QUEUE_DEPTH,
-            shards=args.shards,
-        )
-    except ValueError as exc:  # e.g. --shards with --jobs > 1
-        session.close()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    server = serve_mod.AnalysisServer(
+        session=session, host=args.host, port=args.port,
+        queue_depth=args.queue_depth or serve_mod.DEFAULT_QUEUE_DEPTH,
+    )
     try:
         return serve_mod.run_server(server)
     finally:

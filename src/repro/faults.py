@@ -44,18 +44,6 @@ site                where it fires
                     backoff, then raises a typed
                     :class:`~repro.errors.IndexCorruptError` (writes
                     degrade to a warning), never a wrong query answer
-``serve.shard``     inside a serve shard's pool worker
-                    (:mod:`repro.shards`), at the start of each cell.
-                    A ``kill`` loses the worker: the pool respawns it
-                    and the dispatcher re-runs the cell --
-                    bit-identical bytes, or a typed
-                    ``ShardCrashError`` after the retry budget, never
-                    a hang.  Any other kind is a cell error: the job
-                    fails with it after one attempt.  Check tokens are
-                    salted with the attempt index (``workload:wN#k``),
-                    so a rate-based kill that fires on the first
-                    attempt does not deterministically fire on the
-                    re-run
 ==================  ====================================================
 
 Faults are either *scheduled* (``at``/``count``: fire on the Nth hit of
@@ -113,7 +101,6 @@ FAULT_SITES = (
     "trace.load",
     "trace.pack",
     "index.db",
-    "serve.shard",
 )
 
 #: Fault kinds and what they do when they fire.
@@ -253,12 +240,10 @@ def smoke_plan(seed: Optional[int] = None) -> FaultPlan:
     Smoke mode only arms recovery-transparent sites: the pool faults
     fall back to the bit-identical serial path, transient ``index.db``
     faults are absorbed by the index's retry loop (a degraded index
-    write warns; the artifact store itself is untouched), and
-    ``serve.shard`` kills are answered by the serve dispatcher's
-    respawn-and-rerun path (attempt-salted tokens keep the re-run from
-    deterministically re-rolling the same kill).  Every observable
-    analysis result is unchanged, so an arbitrary test suite passes
-    under smoke while still exercising the recovery paths.
+    write warns; the artifact store itself is untouched).  Every
+    observable analysis result is unchanged, so an arbitrary test
+    suite passes under smoke while still exercising the recovery
+    paths.
     """
     if seed is None:
         seed = int(os.environ.get(ENV_SEED_VAR, "20240"))
@@ -268,7 +253,6 @@ def smoke_plan(seed: Optional[int] = None) -> FaultPlan:
             FaultSpec(site="pool.worker", kind="kill", rate=0.05),
             FaultSpec(site="pool.result", kind="timeout", rate=0.05),
             FaultSpec(site="index.db", kind="raise", rate=0.02),
-            FaultSpec(site="serve.shard", kind="kill", rate=0.05),
         ),
         seed=seed,
     )

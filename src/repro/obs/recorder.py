@@ -161,9 +161,7 @@ class StageRecorder(Recorder):
     Installed as a session's recorder for one job, it turns the
     session's own ``obs.span("trace")`` instrumentation into a live
     progress feed -- no second instrumentation layer.  The serving
-    layer passes the job's stage hook; a serve shard cell passes
-    :func:`repro.pool.report_progress`, so the stage names cross the
-    process boundary on the pool's pipe.
+    layer passes the job's stage hook.
     """
 
     __slots__ = ("_on_stage",)

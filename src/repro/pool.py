@@ -12,9 +12,8 @@ substrate:
   callable is pickled *by reference*, exactly like
   ``ProcessPoolExecutor.submit``, so the parent's current module
   attributes (including monkeypatched ones) decide what runs.  Replay
-  runs on the process-wide :func:`shared_pool`; each serve shard
-  (:mod:`repro.shards`) is a one-worker pool of its own.  A worker
-  first points every socket it inherited, other than its own pipe, at
+  runs on the process-wide :func:`shared_pool`.  A worker first points
+  every socket it inherited, other than its own pipe, at
   ``/dev/null``: it holds no embedding server's listener or clients
   open, and reads EOF once its parent is gone;
 
@@ -59,9 +58,7 @@ Wire protocol (one duplex pipe per worker, one reply per request)::
                        ("task", fn, payload, token)   run one task
                        ("ping",)                      health probe
                        ("exit",)                      clean shutdown
-    worker -> parent   ("progress", value)            any number, while
-                                                      a task runs
-                       ("ok", value)                  the reply
+    worker -> parent   ("ok", value)                  the reply
                        ("err", encoded_exc)           the request raised
 """
 
@@ -81,7 +78,7 @@ import weakref
 from collections import OrderedDict, deque
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import faults
 from .errors import WorkerCrashError
@@ -420,21 +417,6 @@ class _WorkerContext:
 _WORKER_CTX: Optional[_WorkerContext] = None
 
 
-def report_progress(value: Any) -> None:
-    """Task side: hand ``value`` to ``run_tasks``' ``on_progress`` callback.
-
-    Sent as a ``("progress", value)`` message ahead of the task's
-    reply; a no-op outside a pool worker.
-    """
-    ctx = _WORKER_CTX
-    if ctx is None:
-        return
-    try:
-        ctx.conn.send(("progress", value))
-    except (BrokenPipeError, OSError):
-        pass
-
-
 def _drop_inherited_sockets(keep: int) -> None:
     """Point every inherited socket but descriptor ``keep`` at ``/dev/null``.
 
@@ -744,7 +726,6 @@ class WorkerPool:
                   stage_timeout: Optional[float] = None,
                   arenas: Sequence[ColumnArena] = (),
                   state: Sequence[Tuple[str, Any]] = (),
-                  on_progress: Optional[Callable[[int, Any], None]] = None,
                   ) -> List[Any]:
         """Run ``tasks = [(fn, payload, fault_token), ...]`` on the pool.
 
@@ -760,10 +741,7 @@ class WorkerPool:
         are pushed to each participating worker before its first task
         unless the worker already holds them; the active fault plan is
         re-broadcast every batch so worker-side sites stay
-        deterministic despite reuse.  ``on_progress(task_index,
-        value)`` receives, in order, every value a running task sends
-        with :func:`report_progress` (on this thread, before the
-        task's result is consumed).
+        deterministic despite reuse.
         """
         if self.closed:
             raise OSError("worker pool is closed")
@@ -787,14 +765,14 @@ class WorkerPool:
         self._in_batch = True
         try:
             self._run_batch(tasks, results, queues, plan, arenas, state,
-                            stage_timeout, on_progress)
+                            stage_timeout)
         finally:
             self._in_batch = False
             self._flush_detaches()
         return results
 
     def _run_batch(self, tasks, results, queues, plan, arenas, state,
-                   stage_timeout, on_progress) -> None:
+                   stage_timeout) -> None:
         inflight: Dict[_Slot, Tuple[int, Optional[float]]] = {}
         prepared: set = set()
         #: Task indices whose parent-side ``pool.result`` check already
@@ -899,13 +877,6 @@ class WorkerPool:
                 status, value = slot.conn.recv()
             except (EOFError, OSError, pickle.UnpicklingError):
                 lose(slot)
-                return
-            if status == "progress":
-                if on_progress is not None:
-                    try:
-                        on_progress(index, value)
-                    except Exception as exc:
-                        abort(exc)
                 return
             if not consume_check(index):
                 # An injected result timeout: the worker counts as hung.
@@ -1060,8 +1031,7 @@ atexit.register(shutdown)
 def _reset_after_fork() -> None:
     """Forget substrate state inherited across a fork.
 
-    A forked child (a serve-layer shard worker, most importantly)
-    inherits these module globals by reference: a live
+    A forked child inherits these module globals by reference: a live
     :class:`WorkerPool` whose ``Process`` handles cannot even be
     liveness-checked from the child (``multiprocessing`` raises "can
     only test a child process"), plus arena registrations the parent
@@ -1198,7 +1168,6 @@ __all__ = [
     "probe_info",
     "release_arena",
     "replay_warps_shared",
-    "report_progress",
     "shared_pool",
     "shm_supported",
     "shutdown",

@@ -31,24 +31,12 @@ Three properties define the serving surface:
   substrate.  When the queue is full the server answers ``503`` with a
   typed JSON error instead of accepting unbounded work.
 
-The execution substrate has two modes:
-
-* ``shards=0`` (the default): one runner thread drives the server's
-  own session, one job at a time -- parallelism lives *inside* a job,
-  via the session's ``jobs`` knob and the shared worker pool.
-* ``shards=N``: a :class:`~repro.shards.ShardPool` of N
-  :mod:`repro.pool` worker **processes**, each with a ``jobs=1``
-  session over the shared artifact store (so ``shards >= 1`` rejects
-  a session with ``jobs > 1``).  Jobs are split into per-warp-width
-  **cells** dispatched to the least-loaded shard, so independent
-  jobs -- and the independent widths of one sweep -- run
-  concurrently.  Coalescing still happens in this parent process
-  (before routing), so it holds across shard boundaries, and each
-  completed sweep cell is streamed as a
-  ``partial`` event on ``/v1/jobs/<id>/events`` the moment it
-  finishes instead of one blob at job end.  Per-shard health (queue
-  depth, in-flight fingerprints, coalesce hits) is reported under
-  ``shards`` in ``/v1/health``.
+Jobs run one at a time on one runner thread that drives the server's
+own session; parallelism lives *inside* a job, via the session's
+``jobs`` knob and the shared worker pool.  A job runs cell by cell,
+one analyze per warp width, and each completed sweep cell is streamed
+as a ``partial`` event on ``/v1/jobs/<id>/events`` the moment it
+finishes instead of one blob at job end.
 
 Failures reuse the :class:`~repro.errors.ReproError` taxonomy: a typed
 pipeline error maps to a 5xx JSON document carrying the error ``type``,
@@ -87,7 +75,7 @@ Programmatic use mirrors the tests and ``docs/SERVING.md``::
 
     from repro.serve import start_in_background
 
-    handle = start_in_background(cache_dir="cache", jobs=4)
+    handle = start_in_background(cache_dir="cache")
     ...  # urllib/http.client against handle.url
     handle.close()
 
@@ -109,13 +97,12 @@ from urllib.parse import parse_qs
 
 from . import faults
 from . import pool as pool_mod
-from . import shards as shards_mod
 from .artifacts import KIND_REPORT, fingerprint_key
 from .index import history_regression, metric_direction, parse_counter_expr
 from .core.analyzer import AnalyzerConfig
 from .core.report import AnalysisReport
 from .errors import ReproError, StageTimeoutError
-from .obs import StageRecorder, Telemetry
+from .obs import StageRecorder
 from .optlevels import OPT_LEVELS
 from .session import OPT_BASE, AnalysisSession
 from .workloads import all_workloads, get_workload
@@ -123,9 +110,11 @@ from .workloads import all_workloads, get_workload
 #: Version stamp embedded in every health/job document (bump on any
 #: breaking change to the response shapes).  v2: sweep events streams
 #: interleave ``{"event": "partial", ...}`` lines with job snapshots,
-#: health documents carry ``shards`` + top-level ``executions``, and
-#: job documents carry ``cells`` / ``partial_widths``.
-SERVE_SCHEMA_VERSION = 2
+#: health documents carry a top-level ``executions``, and job
+#: documents carry ``cells`` / ``partial_widths``.  v3: health
+#: documents lose their ``shards`` section and partial events their
+#: ``shard`` field.
+SERVE_SCHEMA_VERSION = 3
 
 #: Default bound of the job queue (``--queue-depth`` on the CLI).
 #: Submits beyond it are rejected with a typed 503, the backpressure
@@ -407,12 +396,6 @@ class Job:
         self.cells_total = len(spec.warp_sizes)
         self.cells_done = 0
         self.partials: List[Dict[str, Any]] = []
-        #: Shard indices this job's cells were dispatched to, and
-        #: coalesce hits that arrived before dispatch (attributed to
-        #: the owner shard once one exists).
-        self.shards_used: set = set()
-        self.pending_coalesces = 0
-        self.cell_telemetry: List[str] = []
         self.revision = 0
         self._watchers: List[Callable[[], None]] = []
         self._lock = threading.Lock()
@@ -454,29 +437,23 @@ class Job:
             self._bump()
 
     def add_partial(self, width: int, report_doc: Dict[str, Any],
-                    executions: int, shard: Optional[int] = None,
-                    telemetry_json: Optional[str] = None) -> bool:
-        """Record one completed cell; True when it was the last one.
+                    executions: int) -> None:
+        """Record one completed cell.
 
-        Called as each per-width report lands (from the runner thread
-        inline, or from a shard's dispatch thread).  Bumps the
-        revision so the events stream emits the cell as a ``partial``
-        line immediately, before the job itself is terminal.
+        Called by the runner thread as each per-width report lands.
+        Bumps the revision so the events stream emits the cell as a
+        ``partial`` line immediately, before the job itself is
+        terminal.
         """
         with self._lock:
             self.partials.append({
                 "seq": len(self.partials),
                 "width": width,
-                "shard": shard,
                 "report": report_doc,
             })
-            if telemetry_json is not None:
-                self.cell_telemetry.append(telemetry_json)
             self.cells_done += 1
             self.executions += executions
             self._bump()
-            return (self.cells_done == self.cells_total
-                    and self.status == JOB_RUNNING)
 
     def partials_since(self, seq: int) -> List[Dict[str, Any]]:
         """Completed-cell documents with ``seq`` >= the given one."""
@@ -487,12 +464,9 @@ class Job:
                telemetry_doc: Optional[Dict[str, Any]]) -> None:
         """Transition running -> done with the job's outputs.
 
-        ``executions`` accumulates through :meth:`add_partial`; a
-        second finish (a racing shard) is ignored.
+        ``executions`` accumulates through :meth:`add_partial`.
         """
         with self._lock:
-            if self.status in (JOB_DONE, JOB_FAILED):
-                return
             self.status = JOB_DONE
             self.finished = time.time()
             self.current_stage = None
@@ -500,22 +474,14 @@ class Job:
             self.telemetry_doc = telemetry_doc
             self._bump()
 
-    def fail(self, exc: BaseException) -> bool:
-        """Transition running -> failed, keeping the typed error.
-
-        Returns True when this call performed the transition (False
-        when a concurrent cell already terminated the job) -- the
-        failure counter credits exactly one cell.
-        """
+    def fail(self, exc: BaseException) -> None:
+        """Transition running -> failed, keeping the typed error."""
         with self._lock:
-            if self.status in (JOB_DONE, JOB_FAILED):
-                return False
             self.status = JOB_FAILED
             self.finished = time.time()
             self.current_stage = None
             self.error = exc
             self._bump()
-            return True
 
     # -- loop-thread reads ----------------------------------------------
 
@@ -583,44 +549,22 @@ class AnalysisServer:
     queue_depth:
         Bound of the job queue.  Submits beyond it receive a typed
         ``503`` (``QueueSaturated``) instead of unbounded queueing.
-    shards:
-        ``0`` (default) runs jobs inline on this process's session,
-        one at a time.  ``N >= 1`` spawns a
-        :class:`~repro.shards.ShardPool` of N session worker
-        processes over the same artifact store and dispatches
-        per-width cells across them (``--shards`` on the CLI).  The
-        shards analyse with ``jobs=1`` and this process's session
-        never analyses, so ``shards >= 1`` with a session of
-        ``jobs > 1`` raises ``ValueError``.
     session_kwargs:
         Forwarded to :class:`~repro.session.AnalysisSession` when no
         session is passed (``cache_dir``, ``jobs``, ``recorder``,
         ...).
 
-    Inline, jobs run one at a time on a dedicated runner thread;
-    parallelism lives inside a job (the session's ``jobs`` knob fans
-    warp replay and trace generation out over the shared worker
-    pool).  Sharded, the runner becomes a dispatcher that routes
-    cells to the least-loaded shard, bounded by a dispatch window so
-    the queue-depth backpressure contract stays meaningful.  Either
-    way, submit fingerprinting runs on its own single thread against
-    a separate store-less session, so submissions stay fast while
-    jobs run -- and coalescing always happens here, in the parent,
-    which is what makes it hold across shard boundaries.
+    Jobs run one at a time on a dedicated runner thread; parallelism
+    lives inside a job (a session with ``jobs > 1`` fans warp replay
+    and trace generation out over the shared worker pool).  Submit
+    fingerprinting runs on its own single thread against a separate
+    store-less session, so submissions stay fast while jobs run.
     """
 
     def __init__(self, session: Optional[AnalysisSession] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 shards: int = 0, **session_kwargs: Any) -> None:
-        self.shards = max(0, int(shards))
-        jobs = (session.jobs if session is not None
-                else int(session_kwargs.get("jobs", 1)))
-        if self.shards and jobs > 1:
-            raise ValueError(
-                f"shards={self.shards} cannot be combined with jobs={jobs}: "
-                "shard sessions analyse with jobs=1 and the serving "
-                "session never analyses (drop --jobs or --shards)")
+                 **session_kwargs: Any) -> None:
         self._owns_session = session is None
         if session is None:
             session = AnalysisSession(**session_kwargs)
@@ -644,12 +588,6 @@ class AnalysisServer:
         self._running_job: Optional[Job] = None
         #: Open connection handlers and their writers, closed by stop().
         self._connections: "Dict[asyncio.Task, asyncio.StreamWriter]" = {}
-        self._shard_pool: Optional[shards_mod.ShardPool] = None
-        self._dispatch_gate: Optional[asyncio.Event] = None
-        #: Guards counters and per-shard maps mutated off the loop
-        #: (shard dispatch threads complete cells concurrently).
-        self._count_lock = threading.Lock()
-        self._coalesce_by_shard: Dict[int, int] = {}
         self._run_exec = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="tf-serve-run")
         self._fp_exec = ThreadPoolExecutor(
@@ -671,15 +609,9 @@ class AnalysisServer:
         """Bind the listener and start the runner; returns (host, port)."""
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
-        if self.shards:
-            store = self._session.store
-            self._shard_pool = shards_mod.ShardPool(self.shards, {
-                "cache_dir": store.root if store is not None else None,
-            })
-            self._dispatch_gate = asyncio.Event()
-            await self._loop.run_in_executor(None, self._shard_pool.start)
-        elif self._session.jobs > 1:
-            # Start the replay workers before binding, as shards are.
+        if self._session.jobs > 1:
+            # Start the replay workers before binding, so they fork
+            # holding neither the listener nor any client socket.
             try:
                 await self._loop.run_in_executor(
                     None, pool_mod.shared_pool().ensure_workers,
@@ -691,8 +623,7 @@ class AnalysisServer:
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         self.started_at = time.time()
-        self._runner_task = self._loop.create_task(
-            self._runner_sharded() if self.shards else self._runner())
+        self._runner_task = self._loop.create_task(self._runner())
         return self.host, self.port
 
     async def stop(self) -> None:
@@ -719,8 +650,6 @@ class AnalysisServer:
                 await self._runner_task
             except asyncio.CancelledError:
                 pass
-        if self._shard_pool is not None:
-            await self._loop.run_in_executor(None, self._shard_pool.close)
         await self._loop.run_in_executor(None, self._shutdown_executors)
 
     def _shutdown_executors(self) -> None:
@@ -743,16 +672,20 @@ class AnalysisServer:
             finally:
                 self._running_job = None
                 self._queue.task_done()
+            self._counters[
+                "completed" if job.status == JOB_DONE else "failed"] += 1
 
     def _run_job(self, job: Job) -> None:
-        """Execute one job inline on the runner thread (never raises).
+        """Execute one job on the runner thread (never raises).
 
         Runs the job cell by cell -- one analyze per warp width --
         through the server's own session, recording each width as a
-        partial as it completes, so the streamed-partials contract is
-        identical between inline and sharded servers.  (Per-width
-        analyzes share the build/trace/DCFG stages through the
-        session's stage caches, exactly like ``session.sweep``.)
+        partial as it completes.  (Per-width analyzes share the
+        build/trace/DCFG stages through the session's stage caches,
+        exactly like ``session.sweep``.)  The counters of the job's
+        telemetry cover only this job: each job gets a fresh recorder,
+        and ``session.executions`` is the job's own executions, not
+        the session's lifetime total.
         """
         job.mark_running()
         session = self._session
@@ -769,19 +702,16 @@ class AnalysisServer:
                 )
                 job.add_partial(width, summarize_report(report),
                                 session.executions - before)
-            telemetry_doc = json.loads(session.telemetry().to_json())
-            self._finish_job(job, telemetry_doc)
-            with self._count_lock:
-                self._counters["completed"] += 1
+            telemetry = session.telemetry()
+            telemetry.counters["session.executions"] = job.executions
+            self._finish_job(job, json.loads(telemetry.to_json()))
         except Exception as exc:  # noqa: BLE001 - becomes a typed 5xx
             job.fail(exc)
-            with self._count_lock:
-                self._counters["failed"] += 1
         finally:
             session.obs = previous
 
-    def _finish_job(self, job: Job,
-                    telemetry_doc: Optional[Dict[str, Any]]) -> None:
+    @staticmethod
+    def _finish_job(job: Job, telemetry_doc: Dict[str, Any]) -> None:
         """Assemble the result document from the job's partials."""
         by_width = {partial["width"]: partial["report"]
                     for partial in job.partials_since(0)}
@@ -791,112 +721,6 @@ class AnalysisServer:
             result = {"reports": {str(width): by_width[width]
                                   for width in job.spec.warp_sizes}}
         job.finish(result, telemetry_doc)
-
-    # -- the sharded dispatcher ------------------------------------------
-
-    async def _runner_sharded(self) -> None:
-        """Route queued jobs' cells across the shard pool.
-
-        Pulls the next job only while the pool's outstanding-cell
-        count is under the dispatch window, so a saturated pool backs
-        work up into the bounded submit queue (where the typed 503
-        lives) instead of into unbounded shard queues.
-        """
-        window = max(self.shards * 2, 2)
-        while True:
-            job = await self._queue.get()
-            try:
-                while self._shard_pool.outstanding() >= window:
-                    self._dispatch_gate.clear()
-                    await self._dispatch_gate.wait()
-                self._dispatch_job(job)
-            finally:
-                self._queue.task_done()
-
-    def _dispatch_job(self, job: Job) -> None:
-        """Split ``job`` into per-width cells and route them to shards."""
-        job.mark_running()
-        spec = job.spec
-        assigned = []
-        for width in spec.warp_sizes:
-            cell = {
-                "workload": spec.workload,
-                "n_threads": spec.n_threads,
-                "seed": spec.seed,
-                "opt_level": spec.opt_level,
-                "warp_size": width,
-                "batching": spec.batching,
-                "emulate_locks": spec.emulate_locks,
-                "lock_reconvergence": spec.lock_reconvergence,
-                "token": f"{spec.workload}:w{width}",
-            }
-            def complete(payload, exc, shard, skipped,
-                         job=job, width=width):
-                self._cell_complete(job, width, payload, exc, shard,
-                                    skipped)
-
-            shard = self._shard_pool.submit(
-                cell,
-                on_stage=job.enter_stage,
-                should_run=lambda job=job: not job.terminal,
-                on_complete=complete,
-            )
-            assigned.append(shard)
-        with job._lock:
-            job.shards_used.update(assigned)
-            pending, job.pending_coalesces = job.pending_coalesces, 0
-        if pending:
-            owner = min(assigned)
-            with self._count_lock:
-                self._coalesce_by_shard[owner] = \
-                    self._coalesce_by_shard.get(owner, 0) + pending
-
-    def _cell_complete(self, job: Job, width: int,
-                       payload: Optional[Dict[str, Any]],
-                       exc: Optional[BaseException], shard: int,
-                       skipped: bool) -> None:
-        """One cell finished (shard dispatch thread); never raises."""
-        try:
-            if exc is not None:
-                if job.fail(exc):
-                    with self._count_lock:
-                        self._counters["failed"] += 1
-            elif not skipped and payload is not None:
-                summary = summarize_report(payload["report"])
-                last = job.add_partial(
-                    width, summary, int(payload.get("executions", 0)),
-                    shard=shard,
-                    telemetry_json=payload.get("telemetry"))
-                if last:
-                    self._finish_job(job, self._merge_telemetry(job))
-                    with self._count_lock:
-                        self._counters["completed"] += 1
-        finally:
-            self._wake_dispatcher()
-
-    @staticmethod
-    def _merge_telemetry(job: Job) -> Optional[Dict[str, Any]]:
-        """Merge the job's per-cell telemetry JSONs into one document."""
-        merged: Optional[Telemetry] = None
-        for text in list(job.cell_telemetry):
-            try:
-                telemetry = Telemetry.from_json(text)
-            except Exception:  # noqa: BLE001 - telemetry is best effort
-                continue
-            merged = telemetry if merged is None else merged.merge(telemetry)
-        if merged is None:
-            return None
-        return json.loads(merged.to_json())
-
-    def _wake_dispatcher(self) -> None:
-        """Release the dispatch window (thread-safe, loop may be gone)."""
-        loop, gate = self._loop, self._dispatch_gate
-        if loop is None or gate is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(gate.set)
-        except RuntimeError:
-            pass
 
     # -- fingerprinting --------------------------------------------------
 
@@ -965,12 +789,8 @@ class AnalysisServer:
         job = self._jobs.get(job_id)
         if job is not None and not job.terminal:
             # An identical request is already queued or running: attach
-            # to it -- one computation, any number of waiters.  With
-            # shards this parent-side check *is* the cross-shard
-            # coalescing guarantee: the duplicate never reaches a
-            # shard queue, whichever shard owns the in-flight cells.
+            # to it -- one computation, any number of waiters.
             self._counters["coalesced"] += 1
-            self._note_coalesce(job)
             return 202, job.submit_doc(coalesced=True)
         if job is not None and job.status == JOB_DONE:
             # Registry-warm: answered instantly, never enqueued.
@@ -992,24 +812,6 @@ class AnalysisServer:
         self._counters["enqueued"] += 1
         self._evict_retained()
         return 202, job.submit_doc()
-
-    def _note_coalesce(self, job: Job) -> None:
-        """Attribute one coalesce hit to the shard owning the job.
-
-        A hit before dispatch is parked on the job and credited to the
-        owner shard when the cells are routed.
-        """
-        if self._shard_pool is None:
-            return
-        with job._lock:
-            shards_used = set(job.shards_used)
-            if not shards_used:
-                job.pending_coalesces += 1
-                return
-        owner = min(shards_used)
-        with self._count_lock:
-            self._coalesce_by_shard[owner] = \
-                self._coalesce_by_shard.get(owner, 0) + 1
 
     def _evict_retained(self) -> None:
         """Drop the oldest terminal jobs beyond :data:`MAX_RETAINED_JOBS`."""
@@ -1039,15 +841,12 @@ class AnalysisServer:
             "queue": {
                 "depth": self.queue_depth,
                 "size": self._queue.qsize() if self._queue else 0,
-                "running": (self._shard_pool.busy_count()
-                            if self._shard_pool is not None
-                            else (1 if self._running_job is not None
-                                  else 0)),
+                "running": 1 if self._running_job is not None else 0,
             },
             "jobs": by_status,
             "requests": counters,
             "coalesce_hit_rate": (shortcut / submits) if submits else 0.0,
-            "shards": self._shards_doc(),
+            "executions": self._session.executions,
             "session": {
                 "jobs": self._session.jobs,
                 "executions": self._session.executions,
@@ -1059,46 +858,12 @@ class AnalysisServer:
                 "puts": stats.puts, "corrupt": stats.corrupt,
             },
         }
-        doc["executions"] = (
-            self._session.executions
-            + sum(shard.get("executions", 0)
-                  for shard in doc["shards"]["detail"]))
         if pool_mod.substrate_active():
             doc["pool"] = pool_mod.stats_snapshot()
         plan = faults.active()
         if plan is not None:
             doc["faults"] = {"injected": dict(plan.injected)}
         return doc
-
-    def _shards_doc(self) -> Dict[str, Any]:
-        """The ``shards`` health section: mode, count, per-shard detail.
-
-        Each detail row carries the shard's process (pid/liveness),
-        its load (queue depth, busy flag), its lifetime counters
-        (cells done/failed/skipped, respawns, machine executions), and
-        the two registry-derived numbers
-        the satellite contract names: ``in_flight_fingerprints``
-        (non-terminal jobs with cells routed to the shard) and
-        ``coalesce_hits`` (duplicate submits absorbed on behalf of a
-        job the shard owns).
-        """
-        if self._shard_pool is None:
-            return {"count": 0, "mode": "inline", "detail": []}
-        detail = self._shard_pool.health()
-        inflight: Dict[int, int] = {}
-        for job in list(self._jobs.values()):
-            if job.terminal:
-                continue
-            with job._lock:
-                used = set(job.shards_used)
-            for shard in used:
-                inflight[shard] = inflight.get(shard, 0) + 1
-        with self._count_lock:
-            coalesce = dict(self._coalesce_by_shard)
-        for row in detail:
-            row["in_flight_fingerprints"] = inflight.get(row["shard"], 0)
-            row["coalesce_hits"] = coalesce.get(row["shard"], 0)
-        return {"count": self.shards, "mode": "process", "detail": detail}
 
     def _banner(self) -> Dict[str, Any]:
         return {
@@ -1454,7 +1219,7 @@ class AnalysisServer:
         status transitions), then closes the connection -- the
         poll-free way to follow a long sweep.  For sweep jobs, each
         completed cell is additionally streamed the moment it lands as
-        a ``{"event": "partial", "seq", "width", "shard", "report"}``
+        a ``{"event": "partial", "seq", "width", "report"}``
         line, in completion order, every partial before the terminal
         snapshot -- the per-width reports arrive as they finish
         instead of one blob at job end.  The peer is watched for EOF
@@ -1656,8 +1421,7 @@ async def _serve_forever(server: AnalysisServer) -> None:
     await server.start()
     print(f"threadfuser-serve listening on {server.url} "
           f"(queue depth {server.queue_depth}, "
-          f"jobs {server.session.jobs}, "
-          f"shards {server.shards})")
+          f"jobs {server.session.jobs})")
     print(f"SERVE_URL={server.url}", flush=True)
     try:
         await asyncio.Event().wait()

@@ -140,6 +140,36 @@ class TestWarpSizeValidation:
         assert "usage:" in err and "must be a positive integer" in err
 
 
+class TestThreadsValidation:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "vectoradd"],
+        ["profile", "vectoradd"],
+        ["speedup", "vectoradd"],
+        ["tracegen", "vectoradd", "-o", "unused"],
+        ["sweep", "vectoradd"],
+    ], ids=lambda argv: argv[0])
+    def test_non_positive_threads_is_a_usage_error(self, argv, threads,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--threads", threads, "--no-cache"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be a positive integer" in err
+
+
+class TestSimulateMissingTrace:
+    def test_missing_trace_file_exits_2_with_one_line(self, tmp_path,
+                                                      capsys):
+        missing = str(tmp_path / "nonexistent.trace")
+        assert main(["simulate", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and missing in lines[0]
+
+
 class TestCacheLsCommand:
     def _seed(self, tmp_path):
         from repro.artifacts import (

@@ -365,22 +365,14 @@ class TestEnvironmentPlans:
     def test_smoke_plan_arms_only_recovery_transparent_sites(self):
         # Pool faults fall back to the bit-identical serial path;
         # transient index.db faults are absorbed by the index's retry
-        # loop (and degrade to a warning on the write side); shard
-        # kills are respawned and the cell re-run -- every observable
-        # analysis result is unchanged under smoke.
+        # loop (and degrade to a warning on the write side) -- every
+        # observable analysis result is unchanged under smoke.
         plan = faults.smoke_plan(seed=1)
         assert plan.specs
         sites = {spec.site for spec in plan.specs}
         assert sites <= {"pool.spawn", "pool.worker", "pool.result",
-                         "index.db", "serve.shard"}
-        assert "serve.shard" in sites
+                         "index.db"}
         assert all(spec.rate > 0 for spec in plan.specs)
-
-    def test_serve_shard_is_a_registered_fault_site(self):
-        assert "serve.shard" in faults.FAULT_SITES
-        kill = [spec for spec in faults.smoke_plan(seed=1).specs
-                if spec.site == "serve.shard"]
-        assert len(kill) == 1 and kill[0].kind == "kill"
 
     def test_smoke_pool_plan_adds_the_shm_substrate_sites(self):
         plan = faults.smoke_pool_plan(seed=1)

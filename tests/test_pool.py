@@ -197,12 +197,6 @@ def _sleepy(payload):
     return payload
 
 
-def _chatty(payload):
-    for step in range(payload):
-        pool_mod.report_progress(("step", step))
-    return ("done", payload)
-
-
 def _inet_ports(_payload):
     """Pool task: the local ports of the worker's AF_INET sockets."""
     ports = []
@@ -296,32 +290,19 @@ class TestWorkerPool:
                           pool_mod.RemoteTraceback)
         assert "_boom" in str(excinfo.value.__cause__)
 
-    def test_progress_reaches_the_callback_in_order(self):
+    def test_a_fired_result_check_costs_only_its_own_task(self):
+        # Each task is checked exactly once, and a fired check costs
+        # only its own task.
         pool = _fresh_pool()
-        seen = []
-        out = pool.run_tasks(
-            [(_chatty, 3, "t0")], jobs=1,
-            on_progress=lambda index, value: seen.append((index, value)))
-        assert out == [("done", 3)]
-        assert seen == [(0, ("step", 0)), (0, ("step", 1)),
-                        (0, ("step", 2))]
-        # Progress messages never consume the task's pool.result
-        # check: each task is checked exactly once, and a fired check
-        # still costs only its own task.
         plan = FaultPlan([FaultSpec(site="pool.result", kind="timeout",
                                     match="b")])
-        seen.clear()
         with faults.injected(plan):
-            out = pool.run_tasks(
-                [(_chatty, 4, "a"), (_chatty, 2, "b")], jobs=2,
-                on_progress=lambda index, value: seen.append(
-                    (index, value)))
-        assert out[0] == ("done", 4) and out[1] is None
+            out = pool.run_tasks([(_echo, 4, "a"), (_echo, 2, "b")],
+                                 jobs=2)
+        assert out[0][:2] == ("echo", 4) and out[1] is None
         assert {key: hits for key, hits in plan.hits.items()
                 if key[0] == "pool.result"} == {
             ("pool.result", "a"): 1, ("pool.result", "b"): 1}
-        assert [value for index, value in seen if index == 0] == [
-            ("step", step) for step in range(4)]
 
     def test_close_terminates_workers(self):
         pool = _fresh_pool()

@@ -221,6 +221,22 @@ class TestHttpSurface:
         assert status == 200
         assert "session.executions" in tele["telemetry"]["counters"]
 
+    def test_job_telemetry_counts_only_that_jobs_executions(self, server):
+        # Three distinct jobs on one server: each job's telemetry
+        # counts its own execution, not the session's running total.
+        counted = []
+        for seed in (1, 2, 3):
+            _status, doc = _post(server.url, "/v1/analyze", {
+                "workload": WORKLOAD, "n_threads": 16, "seed": seed})
+            done = _wait(server.url, doc["job_id"])
+            assert done["executions"] == 1
+            status, tele = _get(server.url,
+                                f"/v1/jobs/{doc['job_id']}/telemetry")
+            assert status == 200
+            counted.append(tele["telemetry"]["counters"]
+                           ["session.executions"])
+        assert counted == [1, 1, 1]
+
     def test_sweep_returns_per_width_reports(self, server):
         status, doc = _post(server.url, "/v1/sweep",
                             dict(SPEC, warp_sizes=[4, 8]))
@@ -437,7 +453,6 @@ class TestSweepPartials:
         assert [p["width"] for p in partials] == [4, 8]
         for partial in partials:
             assert partial["report"]["warp_size"] == partial["width"]
-            assert partial["shard"] is None  # inline substrate
         final = lines[-1]
         assert final["status"] == "done"
         assert final["cells"] == {"done": 2, "total": 2}
@@ -523,15 +538,24 @@ class TestCli:
         from repro import cli
 
         args = cli._build_parser().parse_args(
-            ["serve", "--port", "0", "--queue-depth", "8", "--jobs", "2",
-             "--shards", "4"])
+            ["serve", "--port", "0", "--queue-depth", "8"])
         assert args.command == "serve"
         assert args.queue_depth == 8
-        assert args.shards == 4
         assert cli._COMMANDS["serve"] is cli._cmd_serve
-        # Sharding is opt-in: the default stays on the inline runner.
-        assert cli._build_parser().parse_args(
-            ["serve", "--port", "0"]).shards == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "0", "--shards", "2"],
+        ["serve", "--port", "0", "--jobs", "2"],
+        ["pool", "info", "--shards", "2"],
+    ], ids=["serve-shards", "serve-jobs", "pool-info-shards"])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        from repro import cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments" in err
 
     def test_run_server_prints_parseable_url(self, capsys):
         server = AnalysisServer(cache_dir=None)

@@ -34,7 +34,6 @@ import argparse
 import http.client
 import json
 import os
-import statistics
 import subprocess
 import sys
 import threading
@@ -100,78 +99,12 @@ def submit_and_wait(client: Client, spec: Dict,
 def executions_of(health: Dict) -> int:
     """The server's machine-execution count from a health document.
 
-    Schema v2 exports a top-level ``executions`` total that includes
-    every shard; older servers only carried the in-process session's
-    counter.
+    Schema v2 and later export a top-level ``executions`` total; older
+    servers only carried the session's counter.
     """
     if "executions" in health:
         return health["executions"]
     return health["session"]["executions"]
-
-
-def run_saturation(url: str, workload: str, n_threads: int, jobs: int,
-                   clients: int,
-                   warp_sizes: Tuple[int, ...] = (8, 16, 32)
-                   ) -> Dict[str, Any]:
-    """Drive ``jobs`` distinct cold sweeps from ``clients`` threads.
-
-    The saturation shape of the sharded serve layer: every job is a
-    full (warp-size) sweep with a unique seed, so nothing coalesces
-    and nothing answers store-warm -- the measured number is how fast
-    the substrate grinds through cells.  Returns the cell throughput
-    (``throughput_ips`` = completed sweep cells per second) and the
-    shard count the server reported, so callers can tag the numbers
-    by configuration.
-    """
-    probe = Client(url)
-    status, health = probe.request("GET", "/v1/health")
-    if status != 200:
-        raise RuntimeError(f"health probe failed: {status} {health}")
-    shards = health.get("shards", {}).get("count", 0)
-    specs = [
-        {"workload": workload, "n_threads": n_threads,
-         "seed": 7000 + i, "warp_sizes": list(warp_sizes)}
-        for i in range(jobs)
-    ]
-    pending = list(reversed(specs))
-    lock = threading.Lock()
-    errors: List[BaseException] = []
-    barrier = threading.Barrier(clients)
-
-    def worker() -> None:
-        try:
-            client = Client(url)
-            barrier.wait()
-            while True:
-                with lock:
-                    if not pending:
-                        break
-                    spec = pending.pop()
-                submit_and_wait(client, spec, endpoint="/v1/sweep")
-            client.close()
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker) for _ in range(clients)]
-    t0 = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - t0
-    probe.close()
-    if errors:
-        raise RuntimeError(f"saturation client failed: {errors[0]}")
-    cells = jobs * len(warp_sizes)
-    return {
-        "jobs": jobs,
-        "clients": clients,
-        "warp_sizes": list(warp_sizes),
-        "cells": cells,
-        "shards": shards,
-        "elapsed_s": elapsed,
-        "throughput_ips": cells / elapsed if elapsed else 0.0,
-    }
 
 
 def percentile(samples: List[float], q: float) -> float:
@@ -252,21 +185,17 @@ def run_load(url: str, workload: str, n_threads: int, requests: int,
     }
 
 
-def spawn_server(cache_dir: Optional[str],
-                 shards: int = 0) -> Tuple[subprocess.Popen, str]:
+def spawn_server(cache_dir: Optional[str]) -> Tuple[subprocess.Popen, str]:
     """Boot ``python -m repro serve --port 0``; returns (proc, url).
 
     Reads the child's stdout until the machine-readable
-    ``SERVE_URL=...`` line appears (or the child exits).  ``shards``
-    is forwarded as ``--shards`` (0 keeps the in-process session).
+    ``SERVE_URL=...`` line appears (or the child exits).
     """
     env = dict(os.environ)
     src = os.path.join(REPO, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     cmd = [sys.executable, "-m", "repro", "serve", "--port", "0"]
     cmd += ["--cache-dir", cache_dir] if cache_dir else ["--no-cache"]
-    if shards:
-        cmd += ["--shards", str(shards)]
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 60.0
@@ -309,13 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI configuration (2 requests, "
                              "3 clients, 16 threads)")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="forwarded to --spawn as 'serve --shards N' "
-                             "(default 0: in-process session)")
-    parser.add_argument("--saturate", type=int, default=0, metavar="JOBS",
-                        help="additionally drive JOBS distinct cold "
-                             "sweeps from --clients threads and report "
-                             "the cell throughput")
     parser.add_argument("--out", default=None,
                         help="write the metrics JSON here")
     args = parser.parse_args(argv)
@@ -328,19 +250,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     url = args.url
     try:
         if proc is None and not url:
-            proc, url = spawn_server(args.cache_dir, shards=args.shards)
+            proc, url = spawn_server(args.cache_dir)
         print(f"load-testing {url} "
               f"({args.requests} cold+warm, {args.clients}-client burst)")
         metrics = run_load(url, args.workload, args.threads,
                            args.requests, args.clients)
-        if args.saturate:
-            saturation = run_saturation(url, args.workload, args.threads,
-                                        args.saturate, args.clients)
-            metrics["saturation"] = saturation
-            print(f"saturation:     {saturation['cells']} cells over "
-                  f"{saturation['clients']} clients x "
-                  f"{saturation['shards']} shards -> "
-                  f"{saturation['throughput_ips']:.2f} cells/s")
     finally:
         if proc is not None:
             proc.terminate()
