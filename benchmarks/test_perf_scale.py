@@ -3,25 +3,21 @@
 Measures replay wall clock at paper-scale thread counts (512-4096
 logical threads, vs the 64-96 of the other benchmarks) on the
 persistent :mod:`repro.pool` workers -- spawned once, traces attached
-zero-copy from a shared-memory column arena, a worker-resident
-signature-keyed memo reused across calls -- against the serial
-``jobs=1`` path.
+zero-copy from a shared-memory column arena, DCFG tables pushed once
+per worker -- against the serial ``jobs=1`` path.
 
 The workload is synthetic SPMD at scale: every thread replays the
 vectoradd kernel's token stream with thread-private memory addresses,
 so lane signatures are unique (no intra-call memo shortcut -- each
 warp really replays).  Each threads x jobs cell starts from a cold
-pool and reports three kinds of call, because only one of them is a
+pool and reports two kinds of call, because only one of them is a
 fair speed comparison with serial replay:
 
 * ``first_s``: the first call, which spawns the workers and builds and
   attaches the arena;
 * ``fresh_s``: a repeat at a config not yet replayed -- the arena is
-  attached, but the worker memos hold nothing for this config, so every
-  warp really replays.  ``speedup`` is ``serial_s / fresh_s``;
-* ``memo_s``: a repeat at the same config, answered from the worker
-  memos.  It is reported to show what a warm serving loop sees, but a
-  memo hit is never called a speed-up.
+  attached and every warp really replays.  ``speedup`` is
+  ``serial_s / fresh_s``.
 
 The configs differ only in their lock fields, which the lock-free
 vectoradd stream never reads, so every call does the same replay work.
@@ -72,8 +68,7 @@ SMOKE_MIN_FRESH_SPEEDUP = 0.1
 
 #: Result-equivalent configs for the lock-free stream: the first call
 #: uses the first, and each later round replays a config no worker has
-#: seen yet (its ``fresh`` call) and then repeats it (its ``memo``
-#: call), next to one serial call.
+#: seen yet (its ``fresh`` call) next to one serial call.
 _BASE = AnalyzerConfig(warp_size=WARP_SIZE)
 CONFIGS = [dataclasses.replace(_BASE, emulate_locks=locks,
                                lock_reconvergence=policy)
@@ -124,18 +119,16 @@ def _measure(n_threads):
 
     cells = {}
     for jobs in JOBS:
-        # A cold pool per cell: no worker holds this cell's arena or
-        # memo entries yet.
+        # A cold pool per cell: no worker holds this cell's arena yet.
         pool_mod.shutdown()
         pool = [ThreadFuserAnalyzer(cfg, jobs=jobs) for cfg in CONFIGS]
         first_s, report = _timed(pool[0], traces, dcfgs)
         assert report == reference, (n_threads, jobs)
-        # Each round times serial, a fresh config, and its memo-hit
-        # repeat back to back, so host drift hits all three alike.
-        times = {"serial_s": [], "fresh_s": [], "memo_s": []}
+        # Each round times serial and a fresh config back to back, so
+        # host drift hits both alike.
+        times = {"serial_s": [], "fresh_s": []}
         for analyzer in pool[1:ROUNDS + 1]:
-            for key, run in (("serial_s", serial), ("fresh_s", analyzer),
-                             ("memo_s", analyzer)):
+            for key, run in (("serial_s", serial), ("fresh_s", analyzer)):
                 elapsed, report = _timed(run, traces, dcfgs)
                 assert report == reference, (n_threads, jobs, key)
                 times[key].append(elapsed)
@@ -161,13 +154,11 @@ def test_substrate_scaling(benchmark):
     mode = "smoke" if SMOKE else "full"
     lines = [
         "Parallel-replay scaling (persistent shared-memory pool vs "
-        f"serial; {mode} mode, warp {WARP_SIZE}, best of {ROUNDS}; "
-        "memo-hit repeats are not speed-ups)",
-        "{:>8} {:>5} {:>10} {:>10} {:>10} {:>10} {:>8}".format(
-            "threads", "jobs", "serial", "first", "fresh", "memo-hit",
-            "speedup"),
-        "{:>8} {:>5} {:>10} {:>10} {:>10} {:>10} {:>8}".format(
-            "", "", "ms", "ms", "ms", "ms", "fresh"),
+        f"serial; {mode} mode, warp {WARP_SIZE}, best of {ROUNDS})",
+        "{:>8} {:>5} {:>10} {:>10} {:>10} {:>8}".format(
+            "threads", "jobs", "serial", "first", "fresh", "speedup"),
+        "{:>8} {:>5} {:>10} {:>10} {:>10} {:>8}".format(
+            "", "", "ms", "ms", "ms", "fresh"),
     ]
     for n_threads, row in rows.items():
         for jobs, cell in row["jobs"].items():
@@ -176,7 +167,6 @@ def test_substrate_scaling(benchmark):
                 f"{cell['serial_s'] * 1e3:>10.1f} "
                 f"{cell['first_s'] * 1e3:>10.1f} "
                 f"{cell['fresh_s'] * 1e3:>10.1f} "
-                f"{cell['memo_s'] * 1e3:>10.1f} "
                 f"{cell['speedup']:>7.2f}x"
             )
     emit("perf_scale_smoke" if SMOKE else "perf_scale", "\n".join(lines))
@@ -189,9 +179,7 @@ def test_substrate_scaling(benchmark):
             "nproc": len(os.sched_getaffinity(0)),
             "unit": "seconds of analyze() wall clock",
             "baseline": "serial replay (jobs=1); speedup = serial_s / "
-                        "fresh_s, a repeat with no memo hits; memo_s "
-                        "repeats hit the worker memos and are never "
-                        "counted as speed-ups",
+                        "fresh_s, a repeat at a config not yet replayed",
             "scales": {
                 str(n): {
                     "arena_bytes": row["arena_bytes"],

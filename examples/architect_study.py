@@ -27,7 +27,8 @@ N_THREADS = 96
 
 def main() -> None:
     # One session shares traces and DCFG/IPDOM tables across all three
-    # studies; jobs=2 generates the cold traces concurrently.
+    # studies; jobs=2 replays the warps of each analysis on two pool
+    # workers.
     session = AnalysisSession(jobs=2)
     traced = session.trace_many(WORKLOADS, n_threads=N_THREADS)
 

@@ -15,7 +15,8 @@ AnalysisSession`: traces, DCFG/IPDOM tables, and reports are persisted in
 a content-addressed store (``--cache-dir``, default
 ``$THREADFUSER_CACHE_DIR`` or ``~/.cache/threadfuser``), so repeating a
 command with the same parameters skips machine execution entirely.
-``--jobs N`` parallelizes warp replay; ``--no-cache`` opts out.
+``--jobs N`` (``analyze``, ``profile`` and ``sweep``) parallelizes warp
+replay; ``--no-cache`` opts out.
 
 ``--profile`` (or the dedicated ``threadfuser profile`` subcommand)
 turns on the :mod:`repro.obs` observability layer: the command prints a
@@ -65,18 +66,23 @@ def _positive_int_list(text: str) -> List[int]:
     return [_positive_int(item) for item in text.split(",") if item]
 
 
-def _add_workload_options(parser: argparse.ArgumentParser) -> None:
+def _add_workload_options(parser: argparse.ArgumentParser,
+                          jobs: bool = False) -> None:
+    """The workload and session options; ``--jobs`` only with ``jobs``.
+
+    Only commands whose replay can run on the worker pool take
+    ``--jobs``: a replay that carries a warp-trace visitor always runs
+    serially.
+    """
     parser.add_argument("workload", help="workload name (see 'list')")
     parser.add_argument("--threads", type=_positive_int, default=96,
                         help="logical threads to trace (default 96)")
     parser.add_argument("--seed", type=int, default=7,
                         help="input-generation seed (default 7)")
-    _add_session_options(parser)
-
-
-def _add_session_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for warp replay (default 1)")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1,
+                            help="worker processes for warp replay "
+                                 "(default 1)")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache directory (default: "
                              "$THREADFUSER_CACHE_DIR or ~/.cache/threadfuser)")
@@ -138,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze",
                              help="SIMT efficiency + per-function report")
-    _add_workload_options(analyze)
+    _add_workload_options(analyze, jobs=True)
     analyze.add_argument("--warp-size", type=_positive_int, default=32)
     analyze.add_argument("--batching", default="linear",
                          choices=["linear", "cpu_affine", "strided"])
@@ -156,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile the analysis pipeline on a workload "
              "(analyze with --profile always on)")
-    _add_workload_options(profile)
+    _add_workload_options(profile, jobs=True)
     profile.add_argument("--warp-size", type=_positive_int, default=32)
     profile.add_argument("--batching", default="linear",
                          choices=["linear", "cpu_affine", "strided"])
@@ -172,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     speedup.add_argument("--warp-size", type=_positive_int, default=32)
     speedup.add_argument("--gpu", default="rtx3070",
                          choices=["rtx3070", "small-simt-cpu"])
-    speedup.add_argument("--launch-threads", type=int, default=None,
+    speedup.add_argument("--launch-threads", type=_positive_int,
+                         default=None,
                          help="upscale to this launch size "
                               "(default: the paper's #SIMT threads)")
 
@@ -185,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="SIMT efficiency across warp widths (Fig. 1 row)")
-    _add_workload_options(sweep)
+    _add_workload_options(sweep, jobs=True)
     sweep.add_argument("--warp-sizes", type=_positive_int_list,
                        default="8,16,32",
                        help="comma-separated widths (default 8,16,32)")
@@ -198,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("trace", help="file written by 'tracegen'")
     simulate.add_argument("--gpu", default="rtx3070",
                           choices=["rtx3070", "small-simt-cpu"])
-    simulate.add_argument("--replicate", type=int, default=1,
+    simulate.add_argument("--replicate", type=_positive_int, default=1,
                           help="launch the traced warps N times")
     simulate.add_argument("--scheduler", default=None,
                           choices=["gto", "lrr"])

@@ -89,8 +89,9 @@ class ThreadFuserAnalyzer:
     beyond a no-op call per stage.  Memo hit counts and the span-consumed
     token fraction are exported as ``memo.*`` / ``replay.vector_*``
     telemetry *gauges*, never counters -- they legitimately differ
-    between ``jobs=1`` and ``jobs=N`` (each worker memoizes locally;
-    memo hits skip replays) while counters must stay bit-identical.
+    between ``jobs=1`` and ``jobs=N`` (each shard memoizes only its own
+    warps; memo hits skip replays) while counters must stay
+    bit-identical.
     """
 
     def __init__(self, config: Optional[AnalyzerConfig] = None,
@@ -202,15 +203,14 @@ class ThreadFuserAnalyzer:
 
 def replay_warps(warps: Iterable[Tuple[int, list]], dcfgs: DCFGSet,
                  cfg: AnalyzerConfig, memo: Optional[dict] = None,
-                 key_prefix: tuple = (), visitor_factory=None):
+                 visitor_factory=None):
     """Replay ``(index, warp)`` pairs in order with the production replayer.
 
-    ``memo`` maps ``key_prefix`` plus a warp's :func:`_memo_key` to the
-    metrics of an earlier replay; a warp whose key is present reuses a
-    clone of them instead of replaying, and fresh replays are stored.
-    ``None`` disables reuse.  The serial path passes a per-call table
-    and no prefix; pool workers pass their resident table and a prefix
-    naming the DCFGs and config, so the table can span calls.
+    ``memo`` maps a warp's :func:`_memo_key` to the metrics of an
+    earlier replay; a warp whose key is present reuses a clone of them
+    instead of replaying, and fresh replays are stored.  ``None``
+    disables reuse.  Callers pass a fresh table per call, so the DCFGs
+    and the config are the same for every entry.
 
     Returns ``(results, memo_lookups, memo_hits, vector_tokens,
     total_tokens)`` with results as ``(index, WarpMetrics, n_threads)``;
@@ -221,7 +221,7 @@ def replay_warps(warps: Iterable[Tuple[int, list]], dcfgs: DCFGSet,
     for index, warp in warps:
         key = None
         if memo is not None:
-            key = key_prefix + _memo_key(warp)
+            key = _memo_key(warp)
             lookups += 1
             cached = memo.get(key)
             if cached is not None:

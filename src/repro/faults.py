@@ -58,7 +58,7 @@ Activate a plan explicitly::
 
     plan = FaultPlan([FaultSpec(site="pool.worker", kind="kill")])
     with injected(plan):
-        session.trace_many([...], jobs=4)   # workers die; run recovers
+        session.analyze(...)   # jobs=4 replay workers die; run recovers
 
 or environment-wide with ``THREADFUSER_FAULTS=smoke``, which injects
 recovery-transparent faults (pool kills, spawn failures, timeouts) at a

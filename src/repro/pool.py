@@ -5,9 +5,10 @@ substrate:
 
 * the **persistent worker pool** (:class:`WorkerPool`), the only code
   that spawns, messages, times out and respawns worker processes:
-  workers are spawned once and reused across ``trace_many`` / replay /
-  sweep calls, health-checked before every batch, respawned on
-  crashes, and shut down cleanly at interpreter exit (or explicitly).
+  workers are spawned once and reused across replay and sweep calls,
+  health-checked before every batch, respawned on crashes, and shut
+  down cleanly at interpreter exit (or explicitly).  Its one job in
+  the pipeline is lock-step warp replay.
   Tasks ship as ``(callable, payload, fault_token)`` triples -- the
   callable is pickled *by reference*, exactly like
   ``ProcessPoolExecutor.submit``, so the parent's current module
@@ -43,11 +44,9 @@ see :mod:`repro.faults`.
 
 Because workers are reused, per-worker state is explicit: the active
 fault plan is re-broadcast at the start of every batch (the moral
-equivalent of fork inheriting it), arenas and large objects (DCFG
-tables) are pushed once and cached per worker, and each worker keeps a
-signature-keyed warp-metrics memo that survives across calls
-(``benchmarks/test_perf_scale.py`` reports memo-hit repeats separately
-from arena-warm, memo-cold ones).
+equivalent of fork inheriting it), and arenas and large objects (DCFG
+tables) are pushed once and cached per worker.  Nothing else outlives
+a call: each replay shard memoizes warps in a table of its own.
 
 Wire protocol (one duplex pipe per worker, one reply per request)::
 
@@ -65,7 +64,6 @@ Wire protocol (one duplex pipe per worker, one reply per request)::
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -87,11 +85,6 @@ from .tracer.packed import PackedTrace
 
 #: Max objects cached per worker via ``put`` (oldest evicted first).
 STATE_CAP = 8
-
-#: Entries at which a worker's cross-call warp-metrics memo is cleared
-#: wholesale before the next shard (correctness never depends on
-#: retention).
-MEMO_CAP = 4096
 
 #: The pid that imported this module -- arena/pool teardown is a no-op
 #: in any other process, so a forked worker exiting (or collecting an
@@ -359,13 +352,12 @@ def state_token(obj) -> str:
 
 
 class _WorkerContext:
-    """Per-worker resident state (pipe, arenas, pushed objects, memo)."""
+    """Per-worker resident state (pipe, arenas, pushed objects)."""
 
     def __init__(self, conn) -> None:
         self.conn = conn
         self.arenas: Dict[str, tuple] = {}
         self.state: Dict[str, Any] = {}
-        self.memo: Dict[tuple, Any] = {}
 
     def attach(self, name: str, descriptors: Sequence[tuple]) -> float:
         if name in self.arenas:
@@ -413,7 +405,7 @@ class _WorkerContext:
 
 
 #: Set inside :func:`_worker_main`; pool-resident task functions (the
-#: replay shard) read their arenas / state / memo through it.
+#: replay shard) read their arenas and state through it.
 _WORKER_CTX: Optional[_WorkerContext] = None
 
 
@@ -499,11 +491,8 @@ def _shm_replay_shard(payload: tuple) -> tuple:
     Returns :func:`repro.core.analyzer.replay_warps`'s ``(results,
     memo_lookups, memo_hits, vector_tokens, total_tokens)``.
 
-    The memo is worker-resident and keyed on ``(dcfgs token, config
-    items, warp root, ordered lane signatures)``, so it survives across
-    calls (the warm-call fast path) without ever returning metrics for
-    different inputs; a shard that finds it holding :data:`MEMO_CAP`
-    entries clears it wholesale first.  Lane signatures come from
+    Each call gets a fresh memo, as the serial path does, so a hit
+    reuses only a warp of the same shard.  Lane signatures come from
     ``ThreadTrace.signature``, which verifies the shared columns
     against their content hash on first use -- attach corruption
     surfaces as :class:`~repro.errors.TraceCorruptError`, a retryable
@@ -533,13 +522,9 @@ def _shm_replay_shard(payload: tuple) -> tuple:
     from .core.analyzer import replay_warps
 
     traces = entry[1]
-    if len(ctx.memo) >= MEMO_CAP:
-        ctx.memo.clear()
-    cfg_token = tuple(sorted(dataclasses.asdict(cfg).items()))
     warps = ((warp_index, [traces[i] for i in lanes])
              for warp_index, lanes in entries)
-    return replay_warps(warps, dcfgs, cfg, ctx.memo,
-                        key_prefix=(state_key, cfg_token))
+    return replay_warps(warps, dcfgs, cfg, {})
 
 
 def _probe_task(payload):
@@ -1064,9 +1049,9 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
     warp index so aggregation order (and therefore every dict insertion
     order in the report) matches the serial path.  Returns ``None``
     when the substrate is unavailable or failed retryably (callers fall
-    back to serial).  Warps are striped across workers with stable
-    affinity (shard ``j`` -> worker ``j``), so repeated calls over the
-    same traces hit the same worker's resident memo.
+    back to serial).  Warps are striped across workers (shard ``j`` ->
+    worker ``j``); every worker attaches the arena and receives the
+    DCFGs once, and later calls over the same traces reuse both.
     """
     if len(warps) < 2 or not shm_supported():
         return None
@@ -1156,7 +1141,6 @@ def probe_info(jobs: int = 2, probe: bool = True) -> Dict[str, Any]:
 
 
 __all__ = [
-    "MEMO_CAP",
     "STATE_CAP",
     "ColumnArena",
     "RemoteTraceback",

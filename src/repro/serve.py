@@ -5,8 +5,8 @@ share in-flight work between callers.  This module turns the staged
 session into a **long-running asyncio HTTP/JSON server** so bursty
 many-configuration sweeps (the divergence-cost-study traffic pattern)
 amortize everything the substrate already provides: the persistent
-worker pool, the shared-memory arenas, the warp-replay memo, and the
-content-addressed artifact store.
+replay pool, the shared-memory arenas, the session's stage memos, and
+the content-addressed artifact store.
 
 Three properties define the serving surface:
 
@@ -556,7 +556,7 @@ class AnalysisServer:
 
     Jobs run one at a time on a dedicated runner thread; parallelism
     lives inside a job (a session with ``jobs > 1`` fans warp replay
-    and trace generation out over the shared worker pool).  Submit
+    out over the shared worker pool).  Submit
     fingerprinting runs on its own single thread against a separate
     store-less session, so submissions stay fast while jobs run.
     """
@@ -684,13 +684,15 @@ class AnalysisServer:
         build/trace/DCFG stages through the session's stage caches,
         exactly like ``session.sweep``.)  The counters of the job's
         telemetry cover only this job: each job gets a fresh recorder,
-        and ``session.executions`` is the job's own executions, not
-        the session's lifetime total.
+        ``session.executions`` is the job's own executions, and every
+        ``cache.*`` gauge is the job's own store traffic, not the
+        session's lifetime total.
         """
         job.mark_running()
         session = self._session
         previous = session.obs
         session.obs = StageRecorder(job.enter_stage)
+        cache_before = dataclasses.asdict(session.cache_stats)
         try:
             spec = job.spec
             for width in spec.warp_sizes:
@@ -704,6 +706,8 @@ class AnalysisServer:
                                 session.executions - before)
             telemetry = session.telemetry()
             telemetry.counters["session.executions"] = job.executions
+            for name, value in cache_before.items():
+                telemetry.gauges[f"cache.{name}"] -= value
             self._finish_job(job, json.loads(telemetry.to_json()))
         except Exception as exc:  # noqa: BLE001 - becomes a typed 5xx
             job.fail(exc)

@@ -38,10 +38,9 @@ attribute load plus a no-op call.
 from __future__ import annotations
 
 import dataclasses
-import io as _stdio
 import weakref
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import faults
 from . import pool as pool_mod
@@ -53,7 +52,6 @@ from .artifacts import (
     ArtifactStore,
     CacheStats,
     fingerprint_key,
-    serialize_traces,
 )
 from .core.analyzer import AnalyzerConfig, ThreadFuserAnalyzer
 from .core.dcfg import DCFGSet
@@ -108,17 +106,17 @@ class AnalysisSession:
         Root of the on-disk artifact store.  ``None`` disables disk
         caching (stages are still memoized in-process).
     jobs:
-        Worker processes for the parallel stages (warp replay and
-        concurrent trace generation).  ``jobs=1`` is bit-identical to
-        the serial pipeline.
+        Worker processes for warp replay, the one parallel stage.
+        ``jobs=1`` is bit-identical to the serial pipeline.
     recorder:
         An optional :class:`repro.obs.Recorder`.  Defaults to the shared
         no-op recorder, which keeps instrumentation overhead negligible.
 
-    For ``jobs>1`` the parallel stages run on the persistent
-    :mod:`repro.pool` workers -- spawned once, reused across
-    ``trace_many``/replay/sweep calls, traces shared zero-copy through
-    shared-memory column arenas.  Results are bit-identical to serial.
+    For ``jobs>1`` warp replay runs on the persistent
+    :mod:`repro.pool` workers -- spawned once, reused across replay
+    and sweep calls, traces shared zero-copy through shared-memory
+    column arenas.  Every other stage, tracing included, runs in this
+    process.  Results are bit-identical to serial.
 
     Sessions are context managers: ``close()`` (or leaving the ``with``
     block) releases every shared-memory arena attached to this
@@ -137,9 +135,11 @@ class AnalysisSession:
         #: Machine executions performed by this session (test surface:
         #: a warm cache keeps this at zero).
         self.executions = 0
-        #: Recovery bookkeeping: serial retries taken, whole-pool
-        #: fallbacks, and workers lost to crashes/timeouts.  Exported
-        #: as ``faults.*`` gauges by :meth:`telemetry`.
+        #: Recovery bookkeeping, exported as ``faults.*`` gauges by
+        #: :meth:`telemetry`.  Only ``retries`` (serial trace retries)
+        #: moves: replay recovery shows in ``faults.replay_fallbacks``
+        #: and ``pool.*``.  The other two keys stay at 0 for the
+        #: readers of their gauges.
         self.fault_stats: Dict[str, int] = {
             "retries": 0, "pool_fallbacks": 0, "worker_failures": 0,
         }
@@ -255,7 +255,7 @@ class AnalysisSession:
               seed: int = 7) -> WorkloadInstance:
         """Instantiate a catalog workload (program + launch plan)."""
         entry = get_workload(workload)
-        resolved = n_threads or entry.default_threads
+        resolved = entry.resolve_threads(n_threads)
         key = (workload, resolved, seed)
         instance = self._instances.get(key)
         if instance is None:
@@ -281,7 +281,7 @@ class AnalysisSession:
         instance = self.build(workload, n_threads, seed)
         if opt_level in (None, OPT_BASE):
             return instance.program
-        resolved = n_threads or get_workload(workload).default_threads
+        resolved = get_workload(workload).resolve_threads(n_threads)
         key = (workload, resolved, seed, opt_level)
         program = self._programs.get(key)
         if program is None:
@@ -302,7 +302,7 @@ class AnalysisSession:
         shares the cache entry of the default engine.
         """
         instance = self.build(workload, n_threads, seed)
-        resolved = n_threads or get_workload(workload).default_threads
+        resolved = get_workload(workload).resolve_threads(n_threads)
         machine_kwargs = dict(instance.machine_kwargs)
         machine_kwargs.update(machine_overrides or {})
         machine_kwargs.pop("engine", None)
@@ -385,20 +385,14 @@ class AnalysisSession:
         self._traces.put(key, traces)
         self._handed_out.add(traces)
 
-    def _record_trace_counters(self, traces: TraceSet, machine=None,
-                               machine_counts: Optional[Dict] = None
-                               ) -> None:
+    def _record_trace_counters(self, traces: TraceSet, machine) -> None:
         """Export one machine execution's totals into the recorder.
 
         ``trace.instructions`` counts the traced dynamic instructions
         (per-thread, from the trace set); ``machine.instructions`` the
         machine's full dynamic instruction count including untraced
         code; ``machine.mem_events`` the per-touch load/store events
-        (see :class:`repro.machine.machine.Machine`).  When the
-        execution ran in a pool worker the live machine never
-        crosses back, so the worker ships its counts as the plain dict
-        ``machine_counts`` instead (see :func:`_machine_counts`) --
-        the exported counters are identical either way.
+        (see :class:`repro.machine.machine.Machine`).
         """
         obs = self.obs
         if not obs.enabled:
@@ -406,20 +400,16 @@ class AnalysisSession:
         obs.count("trace.executions")
         obs.count("trace.instructions", traces.total_instructions)
         obs.count("trace.skipped_instructions", traces.total_skipped)
-        if machine is not None:
-            machine_counts = _machine_counts(machine)
-        if machine_counts:
-            obs.count("machine.instructions", machine_counts["instructions"])
-            obs.count("machine.mem_events", machine_counts["mem_events"])
-            obs.count("machine.threads", machine_counts["threads"])
-            engine = machine_counts.get("engine")
-            if engine:
-                # Engine shape rides in gauges: the counters section must
-                # stay identical across engines (they are bit-identical),
-                # while the gauges describe *how* this run executed.
-                obs.gauge("engine.compiled", engine["compiled"])
-                obs.gauge("engine.compiled_blocks", engine["blocks"])
-                obs.gauge("engine.compiled_handlers", engine["handlers"])
+        obs.count("machine.instructions", machine.total_instructions)
+        obs.count("machine.mem_events", machine.mem_events)
+        obs.count("machine.threads", len(machine.threads))
+        # Engine shape rides in gauges: the counters section must stay
+        # identical across engines (they are bit-identical), while the
+        # gauges describe *how* this run executed.
+        engine = machine.engine_stats()
+        obs.gauge("engine.compiled", engine["compiled"])
+        obs.gauge("engine.compiled_blocks", engine["blocks"])
+        obs.gauge("engine.compiled_handlers", engine["handlers"])
 
     def trace_raw(self, program: Program,
                   spawns: Iterable[Tuple[str, Sequence, Optional[Sequence]]],
@@ -443,129 +433,29 @@ class AnalysisSession:
 
     def trace_many(self, workloads: Iterable[str],
                    n_threads: Optional[int] = None, seed: int = 7,
-                   opt_level: str = OPT_BASE,
-                   jobs: Optional[int] = None) -> Dict[str, TraceSet]:
-        """Trace several workloads, generating cold traces concurrently.
+                   opt_level: str = OPT_BASE) -> Dict[str, TraceSet]:
+        """Trace several workloads; maps each name to its :class:`TraceSet`.
 
-        Cache hits are served as usual; the remaining cold workloads run
-        on the persistent worker pool (``jobs`` defaults to the
-        session's knob).  The
-        result maps workload name to :class:`TraceSet`.
-
-        Failure handling: pool failures are *classified* (see
-        :func:`repro.faults.is_retryable`).  A dead or timed-out worker,
-        a broken pool, or a corrupted result stream sends the affected
-        items to the serial path -- bit-identical to ``jobs=1`` -- with
-        per-item retry and exponential backoff.  A worker exception
-        that is a *bug* (a ``ValueError`` from workload code, say) is
-        never silently retried: it re-raises immediately with the
-        worker's original traceback chained in.
-        """
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        names = list(workloads)
-        out: Dict[str, TraceSet] = {}
-        cold: List[str] = []
-        for name in names:
-            fields = self.trace_fields(name, n_threads, seed, opt_level)
-            traces = self._traces.get(fingerprint_key(fields))
-            if traces is not None:
-                self.obs.count("trace.memo_hits")
-                out[name] = traces
-                continue
-            if self.store is not None and self.store.has(KIND_TRACES, fields):
-                out[name] = self._trace_with_retry(
-                    name, n_threads=n_threads, seed=seed, opt_level=opt_level
-                )
-                continue
-            cold.append(name)
-        payloads: Dict[str, Tuple[bytes, Dict]] = {}
-        pool_jobs = min(jobs, len(cold))
-        if pool_jobs > 1:
-            payloads = self._pool_trace(cold, n_threads, seed, opt_level,
-                                        pool_jobs)
-        for name in cold:
-            payload = payloads.get(name)
-            if payload is None:
-                out[name] = self._trace_with_retry(
-                    name, n_threads=n_threads, seed=seed, opt_level=opt_level
-                )
-                continue
-            data, counts = payload
-            fields = self.trace_fields(name, n_threads, seed, opt_level)
-            program = self._program(name, n_threads, seed, opt_level)
-            try:
-                traces = trace_io.load_traces(_stdio.BytesIO(data),
-                                              program=program)
-            except trace_io.TraceCorruptError:
-                # The worker's result stream was corrupted in transit;
-                # regenerate serially (bit-identical by construction).
-                self.fault_stats["worker_failures"] += 1
-                out[name] = self._trace_with_retry(
-                    name, n_threads=n_threads, seed=seed, opt_level=opt_level
-                )
-                continue
-            self.executions += 1
-            self._record_trace_counters(traces, machine_counts=counts)
-            if self.store is not None:
-                self.store.put_bytes(KIND_TRACES, fields, data)
-            self._keep_traces(fingerprint_key(fields), traces)
-            out[name] = traces
-        return out
-
-    def _pool_trace(self, cold: List[str], n_threads: Optional[int],
-                    seed: int, opt_level: str,
-                    pool_jobs: int) -> Dict[str, Tuple[bytes, Dict]]:
-        """Run the cold workloads on the persistent shared pool.
-
-        Returns serialized results for the items whose workers
-        succeeded.  Items whose workers failed *retryably* (killed,
-        timeout, transient ``OSError``) are simply absent, and a pool
-        that is unavailable as a whole counts one pool fallback -- the
-        caller regenerates the missing items serially.  A non-retryable
-        worker exception re-raises with its remote traceback attached
-        as the ``__cause__``.  The task callable is read from this
-        module's ``_trace_worker`` attribute at dispatch time and
-        shipped by reference, so monkeypatched replacements are
-        honored.
-        """
-        tasks = [(_trace_worker, (name, n_threads, seed, opt_level), name)
-                 for name in cold]
-        try:
-            outcomes = pool_mod.shared_pool().run_tasks(tasks, jobs=pool_jobs)
-        except Exception as exc:
-            if not faults.is_retryable(exc):
-                raise
-            self.fault_stats["pool_fallbacks"] += 1
-            return {}
-        results: Dict[str, Tuple[bytes, Dict]] = {}
-        for value in outcomes:
-            if value is None:
-                self.fault_stats["worker_failures"] += 1
-                continue
-            rname, data, counts = value
-            results[rname] = (data, counts)
-        return results
-
-    def _trace_with_retry(self, name: str, n_threads: Optional[int],
-                          seed: int, opt_level: str) -> TraceSet:
-        """Serial :meth:`trace` under the module's retry policy.
-
-        This is the guaranteed fallback of every parallel path: the
-        serial pipeline *is* the ``jobs=1`` pipeline, so a recovered
-        run is bit-identical to a fault-free one.  Only retryable
-        failures are retried; bugs propagate on the first attempt.
+        Each workload goes through the serial :meth:`trace` stage (memo,
+        store, or a machine run) under the module's retry policy: only
+        retryable failures are retried, with backoff, and bugs propagate
+        on the first attempt.  The result is bit-identical to tracing
+        the workloads one by one.
         """
 
         def on_retry(_attempt: int, _exc) -> None:
             self.fault_stats["retries"] += 1
 
-        return faults.call_with_retry(
-            lambda: self.trace(name, n_threads=n_threads, seed=seed,
-                               opt_level=opt_level),
-            policy=_RETRY,
-            label=f"trace {name!r}",
-            on_retry=on_retry,
-        )
+        return {
+            name: faults.call_with_retry(
+                lambda: self.trace(name, n_threads=n_threads, seed=seed,
+                                   opt_level=opt_level),
+                policy=_RETRY,
+                label=f"trace {name!r}",
+                on_retry=on_retry,
+            )
+            for name in workloads
+        }
 
     # -- stage: prepare --------------------------------------------------
 
@@ -677,52 +567,6 @@ class AnalysisSession:
                 opt_level=opt_level, config=sized, **machine_overrides
             )
         return out
-
-
-def _machine_counts(machine) -> Dict[str, int]:
-    """The machine-level telemetry counts of one finished execution.
-
-    A plain dict so pool workers can ship the counts back without
-    pickling the machine itself; the parent records them through
-    :meth:`AnalysisSession._record_trace_counters` exactly as if the
-    execution had run in-process.
-    """
-    return {
-        "instructions": machine.total_instructions,
-        "mem_events": machine.mem_events,
-        "threads": len(machine.threads),
-        "engine": machine.engine_stats(),
-    }
-
-
-def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
-    """Pool worker: trace one workload, return serialized traces.
-
-    Results cross the process boundary in the trace-file wire format
-    (the packed columns of format v3, not pickles of live objects), so
-    the bytes the parent stores are identical to what a serial run
-    would have written.  The machine's
-    telemetry counts ride along so parallel trace generation exports
-    the same counters as a serial run.
-    """
-    name, n_threads, seed, opt_level = spec
-    faults.check("pool.worker", name)
-    entry = get_workload(name)
-    instance = entry.instantiate(n_threads or entry.default_threads,
-                                 seed=seed)
-    program = instance.program
-    if opt_level not in (None, OPT_BASE):
-        program = apply_opt_level(program, opt_level)
-    traces, machine = runner.execute_traced(
-        program,
-        instance.spawns,
-        instance.roots,
-        setup=instance.setup,
-        exclude=instance.exclude,
-        workload=instance.name,
-        machine_kwargs=dict(instance.machine_kwargs),
-    )
-    return name, serialize_traces(traces), _machine_counts(machine)
 
 
 __all__ = ["MEMO_ENTRIES", "OPT_BASE", "AnalysisSession"]

@@ -237,7 +237,10 @@ class GPUSimulator:
         to the paper's real launch sizes (2K-42K threads).  Replicas model
         additional independent thread blocks running the same code over
         different data (pessimistic about inter-replica locality).
+        A ``replicate`` below 1 raises ``ValueError``.
         """
+        if replicate < 1:
+            raise ValueError(f"replicate must be at least 1, got {replicate}")
         if kernel.warp_size > self.config.warp_size:
             raise ValueError(
                 f"kernel warp size {kernel.warp_size} exceeds machine "
@@ -249,7 +252,7 @@ class GPUSimulator:
         # what hide each other's memory latency.
         wpb = max(self.config.warps_per_block, 1)
         uid = 0
-        for rep in range(max(replicate, 1)):
+        for rep in range(replicate):
             offset = rep * 0x1000_0000
             for i, warp in enumerate(kernel.warps):
                 block_index = (rep * len(kernel.warps) + i) // wpb

@@ -45,8 +45,14 @@ def project_speedup(traces: TraceSet, program: Program,
     launch size (the paper's "#SIMT Threads" column): the traced warps are
     replicated on the GPU with disjoint address windows, and the CPU time
     is scaled by the same factor (its cores are already saturated by the
-    sample, so CPU time scales linearly with work).
+    sample, so CPU time scales linearly with work).  It must be ``None``
+    or a positive int (``ValueError`` otherwise).
     """
+    if launch_threads is not None and (
+            isinstance(launch_threads, bool)
+            or not isinstance(launch_threads, int) or launch_threads < 1):
+        raise ValueError(f"launch_threads must be None or a positive int, "
+                         f"got {launch_threads!r}")
     gpu_config = gpu_config or GPUConfig()
     kernel = generate_kernel_trace(
         traces, program, warp_size=warp_size, emulate_locks=emulate_locks

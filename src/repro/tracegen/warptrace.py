@@ -32,7 +32,7 @@ class WarpInstruction:
 
     @property
     def active_lanes(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def is_memory(self) -> bool:
         return self.space is not None

@@ -65,9 +65,22 @@ class Workload:
     default_threads: int = 64
     description: str = ""
 
+    def resolve_threads(self, n_threads: Optional[int]) -> int:
+        """``n_threads``, or :attr:`default_threads` when it is ``None``.
+
+        Any other value that is not a positive int raises ``ValueError``.
+        """
+        if n_threads is None:
+            return self.default_threads
+        if (isinstance(n_threads, bool) or not isinstance(n_threads, int)
+                or n_threads < 1):
+            raise ValueError(f"n_threads must be None or a positive int, "
+                             f"got {n_threads!r}")
+        return n_threads
+
     def instantiate(self, n_threads: Optional[int] = None,
                     seed: int = 7) -> WorkloadInstance:
-        return self.build(n_threads or self.default_threads, seed)
+        return self.build(self.resolve_threads(n_threads), seed)
 
 
 _REGISTRY: Dict[str, Workload] = {}

@@ -140,6 +140,43 @@ class TestWarpSizeValidation:
         assert "usage:" in err and "must be a positive integer" in err
 
 
+class TestLaunchSizeValidation:
+    @pytest.mark.parametrize("value", ["0", "-64"])
+    @pytest.mark.parametrize("argv", [
+        ["speedup", "vectoradd", "--no-cache", "--launch-threads"],
+        ["simulate", "unused.trace", "--replicate"],
+    ], ids=lambda argv: argv[0])
+    def test_non_positive_launch_size_is_a_usage_error(self, argv, value,
+                                                       capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be a positive integer" in err
+
+
+class TestJobsOnlyWherePoolRuns:
+    @pytest.mark.parametrize("argv", [
+        ["speedup", "vectoradd"],
+        ["tracegen", "vectoradd", "-o", "unused"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_is_a_usage_error(self, argv, capsys):
+        # Their replay carries a warp-trace visitor and always runs
+        # serially, so they offer no --jobs.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--no-cache", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "profile", "sweep"])
+    def test_pool_commands_keep_jobs(self, command):
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(
+            [command, "vectoradd", "--jobs", "2"])
+        assert args.jobs == 2
+
+
 class TestThreadsValidation:
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("argv", [

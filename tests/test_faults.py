@@ -3,7 +3,8 @@
 Every scenario here asserts one of two outcomes and nothing else:
 
 * **exact recovery** -- the run's result is bit-identical to a
-  fault-free ``jobs=1`` run (serialized trace bytes compared);
+  fault-free ``jobs=1`` run (serialized trace bytes and pickled
+  reports compared);
 * **a typed error** -- a :class:`repro.errors.ReproError` subclass with
   the original cause chained in.
 
@@ -13,11 +14,13 @@ never acceptable, and the fuzz tests below hammer on that boundary.
 
 import io
 import os
+import pickle
 import tempfile
 from concurrent.futures import BrokenExecutor
 
 import pytest
 
+import repro.pool as pool_mod
 from repro import faults
 from repro.artifacts import (
     KIND_REPORT,
@@ -25,6 +28,7 @@ from repro.artifacts import (
     ArtifactStore,
     serialize_traces,
 )
+from repro.core.analyzer import AnalyzerConfig
 from repro.errors import (
     ArtifactCorruptError,
     ReproError,
@@ -39,6 +43,12 @@ from repro.tracer import load_traces
 
 WORKLOADS = ["vectoradd", "nn"]
 N_THREADS = 8
+
+#: The pool cells trace at POOL_THREADS and replay at POOL_CONFIG: two
+#: warps per workload, so a jobs>1 replay runs on the worker pool (a
+#: single warp never reaches it).
+POOL_THREADS = 16
+POOL_CONFIG = AnalyzerConfig(warp_size=8)
 
 STORE_FIELDS = {
     "kind": KIND_TRACES,
@@ -57,6 +67,27 @@ def baseline():
             name: serialize_traces(session.trace(name, n_threads=N_THREADS))
             for name in WORKLOADS
         }
+
+
+def _trace_and_replay(session):
+    """Each workload's serialized traces and pickled POOL_CONFIG report."""
+    traced = session.trace_many(WORKLOADS, n_threads=POOL_THREADS)
+    return {
+        name: (serialize_traces(traces),
+               pickle.dumps(session.replay(traces, config=POOL_CONFIG)))
+        for name, traces in traced.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def pool_baseline():
+    """Fault-free ``jobs=1`` traces and reports at the pool cells' shape."""
+    with faults.injected(None):
+        return _trace_and_replay(AnalysisSession())
+
+
+def _worker_failures():
+    return pool_mod.stats_snapshot().get("worker_failures", 0)
 
 
 class TestPlanMechanics:
@@ -190,24 +221,40 @@ FAULT_PLANS = {
 
 
 class TestRecoveryMatrix:
-    """fault x jobs x cache-state: recovery is always bit-identical."""
+    """fault x jobs x cache-state: recovery is always bit-identical.
+
+    Each cell traces the workloads and replays them at POOL_CONFIG; at
+    jobs=4 the replay runs on the worker pool, where the pool faults
+    fire.  A pool cell proves its fault fired: a ``pool.worker`` kill
+    fires inside the workers (the parent's ``plan.injected`` never sees
+    it) and shows as a pool worker failure; a ``pool.result`` timeout
+    fires in the parent.
+    """
 
     @pytest.mark.parametrize("warm", [False, True],
                              ids=["cold", "warm"])
     @pytest.mark.parametrize("jobs", [1, 4], ids=["jobs1", "jobs4"])
     @pytest.mark.parametrize("fault", sorted(FAULT_PLANS))
-    def test_recovery_is_exact(self, tmp_path, baseline, fault, jobs, warm):
+    def test_recovery_is_exact(self, tmp_path, pool_baseline, fault, jobs,
+                               warm):
         cache = str(tmp_path / "cache")
         if warm:
             with faults.injected(None):
                 AnalysisSession(cache_dir=cache).trace_many(
-                    WORKLOADS, n_threads=N_THREADS
+                    WORKLOADS, n_threads=POOL_THREADS
                 )
-        with faults.injected(FAULT_PLANS[fault]()):
+        plan = FAULT_PLANS[fault]()
+        failures = _worker_failures()
+        with faults.injected(plan):
             session = AnalysisSession(cache_dir=cache, jobs=jobs)
-            traced = session.trace_many(WORKLOADS, n_threads=N_THREADS)
+            observed = _trace_and_replay(session)
         for name in WORKLOADS:
-            assert serialize_traces(traced[name]) == baseline[name], name
+            assert observed[name][0] == pool_baseline[name][0], name
+            assert observed[name][1] == pool_baseline[name][1], name
+        if jobs > 1 and fault == "worker_kill":
+            assert _worker_failures() > failures
+        if jobs > 1 and fault == "injected_timeout":
+            assert plan.injected.get("pool.result", 0) >= 1
 
     def test_killed_workers_do_not_change_counters(self):
         # The determinism contract survives recovery: a run whose pool
@@ -215,40 +262,19 @@ class TestRecoveryMatrix:
         # clean serial run (the activity shows up in gauges only).
         with faults.injected(None):
             clean = AnalysisSession(jobs=1, recorder=Recorder())
-            clean.trace_many(WORKLOADS, n_threads=N_THREADS)
+            _trace_and_replay(clean)
             expected = clean.telemetry().counters
         plan = FaultPlan([FaultSpec(site="pool.worker", kind="kill")])
+        failures = _worker_failures()
         with faults.injected(plan):
             faulty = AnalysisSession(jobs=4, recorder=Recorder())
-            faulty.trace_many(WORKLOADS, n_threads=N_THREADS)
+            _trace_and_replay(faulty)
             observed = faulty.telemetry().counters
+        assert _worker_failures() > failures
         assert observed == expected
 
 
-def _buggy_worker(spec):
-    raise ValueError("workload bug, not infrastructure")
-
-
 class TestFatalErrorsPropagate:
-    def test_worker_bug_is_not_silently_retried(self, tmp_path,
-                                                monkeypatch):
-        # Regression: trace_many used to catch ValueError wholesale and
-        # quietly regenerate serially, masking real workload bugs.
-        import repro.session as session_module
-
-        monkeypatch.setattr(session_module, "_trace_worker", _buggy_worker)
-        with faults.injected(None):
-            session = AnalysisSession(cache_dir=str(tmp_path / "cache"),
-                                      jobs=2)
-            with pytest.raises(ValueError, match="workload bug") as excinfo:
-                session.trace_many(WORKLOADS, n_threads=N_THREADS)
-            # No serial fallback ran: the bug aborted the batch.
-            assert session.executions == 0
-            assert session.fault_stats["retries"] == 0
-        # The worker's original traceback rides along as the cause.
-        assert excinfo.value.__cause__ is not None
-        assert "_buggy_worker" in str(excinfo.value.__cause__)
-
     def test_exhausted_transient_io_raises_typed_error(self, tmp_path):
         plan = FaultPlan([FaultSpec(site="io.transient", kind="raise",
                                     at=1, count=999)])
@@ -266,13 +292,15 @@ class TestTelemetrySurface:
         with faults.injected(plan):
             session = AnalysisSession(cache_dir=str(tmp_path / "cache"),
                                       jobs=2, recorder=Recorder())
-            session.trace_many(WORKLOADS, n_threads=N_THREADS)
+            _trace_and_replay(session)
             telemetry = session.telemetry()
-        assert telemetry.gauges["faults.worker_failures"] >= 1
+        # Replay recovery shows in the replay fallback and pool gauges.
+        assert telemetry.gauges["faults.replay_fallbacks"] == 1
+        assert telemetry.gauges["pool.worker_failures"] >= 1
         # Hit counters are per (site, token): the at=1 spec fires once
-        # per workload token.
-        assert telemetry.gauges["faults.injected.pool.result"] \
-            == len(WORKLOADS)
+        # per shard token, and each workload's two warps make two
+        # shards, "replay:0" and "replay:1".
+        assert telemetry.gauges["faults.injected.pool.result"] == 2
         assert "faults.retries" in telemetry.gauges
         assert "faults.pool_fallbacks" in telemetry.gauges
         # Recovery never leaks into the counters section.

@@ -8,8 +8,8 @@ Covers the :mod:`repro.pool` substrate end to end:
 * pool lifecycle -- spawn-once reuse across batches, crash respawn,
   per-task timeouts, bug propagation with the remote traceback, clean
   shutdown;
-* the parity matrix -- persistent-pool results, memo-served or fresh,
-  and the serial fallback's equal the reference oracle's (pickled
+* the parity matrix -- persistent-pool results, on a cold or a warm
+  call, and the serial fallback's equal the reference oracle's (pickled
   reports *and* telemetry counters) across jobs 1/2/4/8 and both
   execution engines;
 * the zero-leak guarantee -- after ``AnalysisSession.close()`` no
@@ -382,8 +382,8 @@ def _run(name, jobs, engine=None, warm=False):
     traces = _traces(name, engine=engine)
     dcfgs = analyzer.prepare(traces)
     if warm:
-        # A first replay over the same DCFGs leaves every warp in the
-        # workers' resident memo for the measured call.
+        # A first replay over the same DCFGs leaves the arena and the
+        # DCFGs resident in the workers for the measured call.
         ThreadFuserAnalyzer(_config(name), jobs=jobs).analyze(
             traces, dcfgs=dcfgs)
     report = analyzer.analyze(traces, dcfgs=dcfgs)
@@ -410,17 +410,17 @@ class TestSubstrateParityMatrix:
         The per-call fork pool that once sat between the shared pool
         and serial replay is gone: a pool whose workers cannot attach
         the arena now falls back to serial replay, so that fallback is
-        the middle leg.  With ``memo`` the shared leg replays over
-        DCFGs it has already replayed, so the workers' resident memo
-        serves every warp; with ``nomemo`` every warp is replayed fresh.
+        the middle leg.  With ``memo`` the shared leg is a warm call,
+        over DCFGs it has already replayed; with ``nomemo`` it is the
+        first.  Workers keep no memo across calls, and these warps are
+        all distinct, so neither call hits the memo.
         """
         reference, ref_counters = _oracle(name)
         report, counters, gauges = _run(name, jobs, warm=memo)
         assert report == reference, jobs
         assert counters == ref_counters, jobs
         if jobs > 1 and faults.active() is None:
-            expected_hits = gauges["memo.warp_lookups"] if memo else 0
-            assert gauges["memo.warp_hits"] == expected_hits
+            assert gauges["memo.warp_hits"] == 0
 
         plan = FaultPlan([FaultSpec(site="pool.attach", kind="raise",
                                     count=999)])

@@ -237,6 +237,23 @@ class TestHttpSurface:
                            ["session.executions"])
         assert counted == [1, 1, 1]
 
+    def test_job_telemetry_counts_only_that_jobs_store_traffic(self,
+                                                               server):
+        # Each distinct cold job stores its traces, DCFGs and report:
+        # three puts of its own, whatever earlier jobs wrote.
+        gauges = []
+        for seed in (1, 2, 3):
+            _status, doc = _post(server.url, "/v1/analyze", {
+                "workload": WORKLOAD, "n_threads": 16, "seed": seed})
+            _wait(server.url, doc["job_id"])
+            _status, tele = _get(server.url,
+                                 f"/v1/jobs/{doc['job_id']}/telemetry")
+            gauges.append(tele["telemetry"]["gauges"])
+        assert [g["cache.puts"] for g in gauges] == [3, 3, 3]
+        assert [g["cache.misses"] for g in gauges] == [3, 3, 3]
+        assert len({g["cache.bytes_written"] for g in gauges}) == 1
+        assert gauges[0]["cache.bytes_written"] > 0
+
     def test_sweep_returns_per_width_reports(self, server):
         status, doc = _post(server.url, "/v1/sweep",
                             dict(SPEC, warp_sizes=[4, 8]))

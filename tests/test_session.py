@@ -10,7 +10,7 @@ from repro import pool as pool_mod
 from repro.core import AnalyzerConfig, analyze_traces, sweep_warp_sizes
 from repro.obs import Recorder
 from repro.session import MEMO_ENTRIES, AnalysisSession
-from repro.workloads import runner
+from repro.workloads import get_workload, runner
 
 from util import build_lock_program, run_traced
 
@@ -98,6 +98,24 @@ class TestStagedPipeline:
         effs = [reports[w].simt_efficiency for w in (4, 8, 16)]
         assert effs == sorted(effs, reverse=True)
         assert session.executions == 1
+
+    @pytest.mark.parametrize("n_threads", [0, -3, 2.5, True])
+    def test_thread_count_must_be_none_or_positive(self, n_threads):
+        session = AnalysisSession(cache_dir=None)
+        with pytest.raises(ValueError, match="n_threads"):
+            session.analyze("vectoradd", n_threads=n_threads)
+        with pytest.raises(ValueError, match="n_threads"):
+            session.trace_fields("vectoradd", n_threads)
+        with pytest.raises(ValueError, match="n_threads"):
+            get_workload("vectoradd").instantiate(n_threads)
+        assert session.executions == 0
+
+    def test_no_thread_count_means_the_default(self):
+        session = AnalysisSession(cache_dir=None)
+        default = get_workload("vectoradd").default_threads
+        assert session.trace_fields("vectoradd")["n_threads"] == default
+        assert session.build("vectoradd") is session.build("vectoradd",
+                                                           default)
 
 
 class TestArtifactCaching:

@@ -340,3 +340,22 @@ class TestSpeedupProjection:
             result.cpu_seconds / result.gpu_seconds
         )
         assert 0 < result.simt_efficiency <= 1
+
+    @pytest.mark.parametrize("launch_threads", [0, -64, 2.5, True])
+    def test_launch_threads_must_be_none_or_positive(self, launch_threads):
+        program = build_diamond_program()
+        traces, _m = run_traced(
+            program, [("worker", [t], None) for t in range(8)], ["worker"]
+        )
+        with pytest.raises(ValueError, match="launch_threads"):
+            project_speedup(traces, program, launch_threads=launch_threads)
+
+    @pytest.mark.parametrize("replicate", [0, -2])
+    def test_replicate_below_one_is_rejected(self, replicate):
+        program = build_diamond_program()
+        traces, _m = run_traced(
+            program, [("worker", [t], None) for t in range(8)], ["worker"]
+        )
+        kernel = generate_kernel_trace(traces, program, warp_size=8)
+        with pytest.raises(ValueError, match="replicate"):
+            GPUSimulator(rtx3070()).run(kernel, replicate=replicate)
