@@ -457,6 +457,11 @@ def _cmd_simulate(args) -> int:
     config = rtx3070() if args.gpu == "rtx3070" else small_simt_cpu()
     if args.scheduler:
         config.scheduler = args.scheduler
+    if kernel.warp_size > config.warp_size:
+        print(f"error: trace {args.trace!r} has warp size "
+              f"{kernel.warp_size}, wider than {config.name}'s warp size "
+              f"{config.warp_size}", file=sys.stderr)
+        return 2
     sim = GPUSimulator(config)
     stats = sim.run(kernel, replicate=args.replicate)
     print(f"kernel:         {kernel.name}")

@@ -121,8 +121,9 @@ class ThreadFuserAnalyzer:
         warp index and must return a replay visitor (or None); the trace
         generator uses this to emit simulator traces during replay.
         Visitors accumulate state in-process and need every warp's
-        per-block callbacks, so their presence forces fresh serial
-        replays (no memo reuse) regardless of ``jobs``.
+        callbacks (one per block issue, which span steps deliver too),
+        so their presence forces fresh serial replays (no memo reuse)
+        regardless of ``jobs``.
         """
         cfg = self.config
         if dcfgs is None:

@@ -593,13 +593,15 @@ class VectorWarpReplayer(WarpReplayer):
     subtraction (``cumn``) and 32-byte coalescing is computed from
     whole ``msegf``/``msegl`` slices by :mod:`repro.core.vector`.
 
-    On any disagreement, on spans shorter than :attr:`MIN_SPAN`, and
-    whenever a visitor is attached (it needs its per-block callbacks)
-    the replayer steps one block at a time, so divergence partitioning,
+    On any disagreement and on spans shorter than :attr:`MIN_SPAN` the
+    replayer steps one block at a time, so divergence partitioning,
     lock serialization, record-misalignment handling, and every error
     message match the oracle's; ``tests/test_replay_memo.py`` enforces
-    bit-identical reports.  A single-lane entry cannot diverge, so its
-    whole leg is swept in one pass (:meth:`_solo_leg`).
+    bit-identical reports.  A visitor does not change the step: a
+    consumed span gives it the per-block callbacks the oracle would
+    (:meth:`_visit_span`).  A single-lane entry cannot diverge, so
+    without a visitor its whole leg is swept in one pass
+    (:meth:`_solo_leg`); with one, it takes the span and block steps.
 
     ``vector_tokens`` counts tokens consumed through the span paths;
     together with ``total_tokens`` it feeds the ``replay.vector_*``
@@ -700,13 +702,10 @@ class VectorWarpReplayer(WarpReplayer):
 
     def _step_entry(self, function: str, e: _Entry,
                     stack: List[_Entry]) -> None:
-        if self.visitor is None:
-            if len(e.mask) == 1:
-                self._solo_leg(function, e)
-                return
-            if self._step_span(function, e, stack):
-                return
-        self._step_block(function, e, stack)
+        if len(e.mask) == 1 and self.visitor is None:
+            self._solo_leg(function, e)
+        elif not self._step_span(function, e, stack):
+            self._step_block(function, e, stack)
 
     def _step_block(self, function: str, e: _Entry,
                     stack: List[_Entry]) -> None:
@@ -841,11 +840,49 @@ class VectorWarpReplayer(WarpReplayer):
             function, rep.cumn[rep_pos + run] - rep.cumn[rep_pos], n_mask)
         if nrec:
             self._coalesce_span(mask, los, nrec)
+        if self.visitor is not None:
+            self._visit_span(function, mask, los, run, nrec)
         for lane in mask:
             cursors[lane].pos += run
         self.vector_tokens += run * n_mask
         self._post_block(function, e, stack, rep.arg[rep_pos + run - 1])
         return True
+
+    def _visit_span(self, function: str, mask: List[int], los: List[int],
+                    run: int, nrec: int) -> None:
+        """Give the visitor the callbacks of a span about to be consumed.
+
+        Per block, in order: ``on_issue``, then ``on_mem_issue`` for
+        each of the block's records with the lanes' ``(addr, size)``
+        in mask order -- exactly what stepping the span one block at a
+        time would call, since its lanes agree on every block address,
+        record count, slot and store flag.  ``los`` holds each lane's
+        first record of the span.
+        """
+        visitor = self.visitor
+        cursors = self.cursors
+        rep = cursors[mask[0]]
+        rep_pos = rep.pos
+        rep_lo = los[0]
+        arg, nins, moff = rep.arg, rep.nins, rep.moff
+        mslot, mstore = rep.mslot, rep.mstore
+        if nrec:
+            # One list of lane accesses per record of the span.
+            columns = []
+            for lane, lo in zip(mask, los):
+                cursor = cursors[lane]
+                columns.append(zip(cursor.maddr[lo:lo + nrec],
+                                   cursor.msize[lo:lo + nrec]))
+            records = [list(accesses) for accesses in zip(*columns)]
+        on_issue = visitor.on_issue
+        on_mem_issue = visitor.on_mem_issue
+        lanes = list(mask)
+        for pos in range(rep_pos, rep_pos + run):
+            block_addr = arg[pos]
+            on_issue(function, block_addr, nins[pos], lanes)
+            for j in range(moff[pos], moff[pos + 1]):
+                on_mem_issue(function, block_addr, mslot[j],
+                             bool(mstore[j]), records[j - rep_lo])
 
     def _coalesce_span(self, mask: List[int], los: List[int],
                        nrec: int) -> None:

@@ -52,28 +52,36 @@ class GPUStats:
 
 
 class _WarpState:
-    __slots__ = ("stream", "pc", "ready", "addr_offset", "uid")
+    __slots__ = ("stream", "pc", "op_class", "mask", "mem", "n", "pos",
+                 "ready", "addr_offset", "uid")
 
     def __init__(self, stream: WarpStream, addr_offset: int = 0,
                  uid: int = 0) -> None:
         self.stream = stream
-        self.pc = 0
+        self.pc = stream.pc
+        self.op_class = stream.op_class
+        self.mask = stream.mask
+        self.mem = stream.mem
+        self.n = len(stream)
+        self.pos = 0
         self.ready = 0
         self.addr_offset = addr_offset
         self.uid = uid
 
-    def done(self) -> bool:
-        return self.pc >= len(self.stream.instructions)
-
 
 class _SM:
-    """One streaming multiprocessor: resident warps + local L1."""
+    """One streaming multiprocessor: resident warps + local L1.
+
+    A resident warp always has a micro-op left to issue: a stream with
+    none never becomes resident, and a warp retires on issuing its last
+    one.
+    """
 
     def __init__(self, sim: "GPUSimulator", sm_id: int) -> None:
         self.sim = sim
         self.sm_id = sm_id
         self.l1 = Cache(sim.config.l1)
-        self.pending: List[WarpStream] = []
+        self.pending: List[tuple] = []
         self.resident: List[_WarpState] = []
         self.cycle = 0
         self.last_issued: Optional[_WarpState] = None
@@ -93,40 +101,47 @@ class _SM:
 
     def run(self) -> int:
         """Simulate to completion; returns the SM's final cycle."""
-        self._refill()
         stats = self.sim.stats
+        greedy = self.sim.config.scheduler != "lrr"
+        select = self._select_gto if greedy else self._select_lrr
+        self._refill()
         while self.resident or self.pending:
-            self._refill()
-            warp = self._select()
+            warp = select()
             if warp is None:
                 # All warps stalled: jump to the earliest wake-up.
                 nxt = min(w.ready for w in self.resident)
                 stats.idle_cycles += max(nxt - self.cycle, 0)
                 self.cycle = max(nxt, self.cycle + 1)
-                continue
-            self._issue(warp)
-            self.cycle += 1
-            if warp.done():
-                self.resident.remove(warp)
-                if self.last_issued is warp:
-                    self.last_issued = None
+            elif self._issue(warp, greedy):
+                self._retire(warp)
         return self.cycle
 
-    def _select(self) -> Optional[_WarpState]:
-        if self.sim.config.scheduler == "lrr":
-            return self._select_lrr()
-        return self._select_gto()
+    def _retire(self, warp: _WarpState) -> None:
+        """Take a warp that has issued its whole stream off the SM.
+
+        Each micro-op issues exactly once, so the issue counters take
+        the warp's whole stream here.
+        """
+        self.resident.remove(warp)
+        if self.last_issued is warp:
+            self.last_issued = None
+        stats = self.sim.stats
+        stream = warp.stream
+        stats.instructions += warp.n
+        stats.thread_instructions += stream.thread_instructions
+        stats.mem_instructions += warp.n - warp.mem.count(None)
+        self._refill()
 
     def _select_gto(self) -> Optional[_WarpState]:
         # Greedy-then-oldest: stick with the last warp while it is ready.
         last = self.last_issued
-        if last is not None and not last.done() and last.ready <= self.cycle:
+        if last is not None and last.ready <= self.cycle:
             return last
         best = None
         for warp in self.resident:
-            if warp.ready <= self.cycle and not warp.done():
-                if best is None:
-                    best = warp
+            if warp.ready <= self.cycle:
+                best = warp
+                break
         self.last_issued = best
         return best
 
@@ -135,79 +150,110 @@ class _SM:
         n = len(self.resident)
         for offset in range(n):
             warp = self.resident[(self._rr_pointer + offset) % n]
-            if warp.ready <= self.cycle and not warp.done():
+            if warp.ready <= self.cycle:
                 self._rr_pointer = (self._rr_pointer + offset + 1) % n
                 return warp
         return None
 
-    def _issue(self, warp: _WarpState) -> None:
-        config = self.sim.config
-        stats = self.sim.stats
-        instr = warp.stream.instructions[warp.pc]
-        warp.pc += 1
-        stats.instructions += 1
-        stats.thread_instructions += instr.active_lanes
-        if instr.is_memory():
-            completion = self._memory_access(warp, instr)
-            stats.mem_instructions += 1
-            warp.ready = completion
-        else:
-            warp.ready = self.cycle + config.latencies.get(
-                instr.op_class, 1
-            )
+    def _issue(self, warp: _WarpState, greedy: bool) -> bool:
+        """Issue ``warp``'s next micro-op at the SM's cycle.
 
-    def _memory_access(self, warp: _WarpState, instr) -> int:
+        Under GTO (``greedy``) keep issuing, one per cycle, while the
+        warp stays ready: GTO would select it again on the next cycle,
+        and nothing else that selection reads changes until a warp
+        retires.  Returns True once the warp has issued its last
+        micro-op.
+        """
+        latency = self.sim.config.latencies.get
+        op_class, mems = warp.op_class, warp.mem
+        n = warp.n
+        pos = warp.pos
+        cycle = self.cycle
+        while True:
+            mem = mems[pos]
+            if mem is None:
+                ready = cycle + latency(op_class[pos], 1)
+            else:
+                # The memory system reads the issue cycle.
+                self.cycle = cycle
+                ready = self._memory_access(warp, warp.pc[pos],
+                                            op_class[pos], warp.mask[pos],
+                                            mem)
+            pos += 1
+            cycle += 1
+            if pos == n or not greedy or ready > cycle:
+                break
+        warp.pos = pos
+        warp.ready = ready
+        self.cycle = cycle
+        return pos == n
+
+    def _memory_access(self, warp: _WarpState, pc: int, op_class: str,
+                       mask: int, mem: tuple) -> int:
         """Issue the transactions of one memory micro-op; returns the
         cycle its data is complete."""
         config = self.sim.config
         stats = self.sim.stats
-        if instr.space == SPACE_LOCAL:
+        space, accesses = mem
+        if space == SPACE_LOCAL:
             # Local memory is interleaved per-lane by hardware: fully
             # coalesced -> ceil(lanes*size/32) sequential transactions on
             # a per-warp private region (lane-interleaved addresses).
-            size = instr.accesses[0][1] if instr.accesses else 8
-            n_txn = max(
-                (instr.active_lanes * size + 31) // 32, 1
-            )
-            base = 0x4_0000_0000 + warp.uid * 0x10_0000 + (instr.pc * 0x40)
-            txn_addrs = [base + 32 * i for i in range(n_txn)]
+            size = accesses[0][1] if accesses else 8
+            n_txn = max((mask.bit_count() * size + 31) // 32, 1)
+            base = 0x4_0000_0000 + warp.uid * 0x10_0000 + (pc * 0x40)
+            txn_addrs = range(base, base + 32 * n_txn, 32)
         else:
             offset = warp.addr_offset
             segs = set()
-            for addr, size in instr.accesses or []:
+            add = segs.add
+            for addr, size in accesses:
                 addr += offset
                 first = addr // 32
-                last = (addr + max(size, 1) - 1) // 32
-                for s in range(first, last + 1):
-                    segs.add(s)
+                if size > 1:
+                    last = (addr + size - 1) // 32
+                    if last != first:
+                        segs.update(range(first, last + 1))
+                        continue
+                add(first)
             txn_addrs = [32 * s for s in sorted(segs)] or [0]
-        is_write = instr.op_class == classes.STORE
+        is_write = op_class == classes.STORE
 
-        completion = self.cycle
-        self.lsu_free = max(self.lsu_free, self.cycle)
+        cycle = self.cycle
+        completion = cycle
+        lsu_free = max(self.lsu_free, cycle)
+        throughput = config.lsu_throughput
+        l1_access = self.l1.access
+        l2_access = self.sim.l2.access
+        l1_latency = config.l1.hit_latency
+        l2_latency = config.l2.hit_latency
+        l1_hits = l2_hits = l2_misses = 0
         for i, addr in enumerate(txn_addrs):
-            stats.transactions += 1
-            issue_at = self.lsu_free + i // config.lsu_throughput
-            if self.l1.access(addr, is_write):
-                stats.l1_hits += 1
-                latency = config.l1.hit_latency
+            issue_at = lsu_free + i // throughput
+            if l1_access(addr, is_write):
+                l1_hits += 1
+                done = issue_at + l1_latency
+            elif l2_access(addr, is_write):
+                l2_hits += 1
+                done = issue_at + l2_latency
             else:
-                stats.l1_misses += 1
-                if self.sim.l2.access(addr, is_write):
-                    stats.l2_hits += 1
-                    latency = config.l2.hit_latency
-                else:
-                    stats.l2_misses += 1
-                    latency = config.dram_latency + self._dram_queue(
-                        32, issue_at
-                    )
-                    stats.dram_bytes += 32
-            completion = max(completion, issue_at + latency)
-        self.lsu_free += len(txn_addrs) // config.lsu_throughput
+                l2_misses += 1
+                done = issue_at + config.dram_latency + self._dram_queue(
+                    32, issue_at)
+            if done > completion:
+                completion = done
+        n_txn = len(txn_addrs)
+        self.lsu_free = lsu_free + n_txn // throughput
+        stats.transactions += n_txn
+        stats.l1_hits += l1_hits
+        stats.l1_misses += n_txn - l1_hits
+        stats.l2_hits += l2_hits
+        stats.l2_misses += l2_misses
+        stats.dram_bytes += 32 * l2_misses
         if is_write:
             # Stores retire through the write queue; the warp does not
             # wait for them.
-            return self.cycle + 1
+            return cycle + 1
         return completion
 
     def _dram_queue(self, n_bytes: int, at_cycle: int) -> int:
@@ -256,7 +302,10 @@ class GPUSimulator:
             offset = rep * 0x1000_0000
             for i, warp in enumerate(kernel.warps):
                 block_index = (rep * len(kernel.warps) + i) // wpb
-                sms[block_index % len(sms)].add_warp(warp, offset, uid)
+                if len(warp):
+                    # A warp with nothing to issue keeps its place in
+                    # its block but never occupies an SM.
+                    sms[block_index % len(sms)].add_warp(warp, offset, uid)
                 uid += 1
         active = [sm for sm in sms if sm.pending]
         self.dram_share = self.config.dram_bytes_per_cycle / max(

@@ -16,13 +16,7 @@ from ..isa import classes
 from ..program.ir import Program
 from ..tracer.events import TraceSet
 from .risc import decompose
-from .warptrace import (
-    SPACE_GLOBAL,
-    KernelTrace,
-    WarpInstruction,
-    WarpStream,
-    space_of,
-)
+from .warptrace import SPACE_GLOBAL, KernelTrace, WarpStream, space_of
 
 
 def _mask_of(lanes: Sequence[int]) -> int:
@@ -32,63 +26,85 @@ def _mask_of(lanes: Sequence[int]) -> int:
     return mask
 
 
+#: The memory entry of a load/store micro-op whose block issue carried
+#: no record for it (a lane-predicated access; keeps the stream
+#: well-formed).
+_NO_RECORD = (SPACE_GLOBAL, ())
+
+
 class WarpTraceVisitor:
-    """Replay visitor that records one warp's micro-op stream."""
+    """Replay visitor that records one warp's micro-op stream.
+
+    ``on_issue`` appends the block's micro-ops to the stream's columns
+    in one step, from a plan built the first time the warp issues the
+    block; ``on_mem_issue`` then fills in the memory entries of that
+    block's load/store micro-ops.
+    """
 
     def __init__(self, program: Program, stream: WarpStream) -> None:
         self.program = program
         self.stream = stream
-        self._pending: Optional[Tuple[int, int, Dict]] = None
-        #: Block address -> the block's micro-ops as ``(slot, pc,
-        #: op_class)``, decomposed once per static block.
-        self._plans: Dict[int, List[Tuple[int, int, str]]] = {}
+        #: Block address -> ``(pcs, op_classes, mems, mem_index)``: the
+        #: block's micro-op columns, with ``_NO_RECORD`` at each memory
+        #: micro-op, and ``(slot, is_store)`` -> that micro-op's offset.
+        self._plans: Dict[int, tuple] = {}
+        #: The last issued block: its address, its first micro-op's
+        #: stream index and its plan's ``mem_index``.
+        self._block: Optional[int] = None
+        self._base = 0
+        self._mem_index: Dict[Tuple[int, bool], int] = {}
+        #: Active lanes -> their bitmask; a warp issues few lane sets.
+        self._masks: Dict[Tuple[int, ...], int] = {}
+
+    def _plan(self, block_addr: int) -> tuple:
+        pcs, ops, mems = [], [], []
+        mem_index: Dict[Tuple[int, bool], int] = {}
+        block = self.program.block_by_addr[block_addr]
+        for slot, instr in enumerate(block.instructions):
+            # ``decompose`` emits at most one load and one store per
+            # instruction, so ``(slot, is_store)`` names one micro-op.
+            for op_class in decompose(instr):
+                if op_class in (classes.LOAD, classes.STORE):
+                    mem_index[slot, op_class == classes.STORE] = len(ops)
+                    mems.append(_NO_RECORD)
+                else:
+                    mems.append(None)
+                pcs.append(instr.addr)
+                ops.append(op_class)
+        plan = self._plans[block_addr] = (tuple(pcs), tuple(ops),
+                                          tuple(mems), mem_index)
+        return plan
 
     # -- replay visitor protocol -------------------------------------------
 
     def on_issue(self, function: str, block_addr: int, n_instructions: int,
                  lanes: Sequence[int]) -> None:
-        self._flush()
-        self._pending = (block_addr, _mask_of(lanes), {})
+        plan = self._plans.get(block_addr)
+        if plan is None:
+            plan = self._plan(block_addr)
+        pcs, ops, mems, self._mem_index = plan
+        stream = self.stream
+        self._block = block_addr
+        self._base = len(stream.pc)
+        stream.pc.extend(pcs)
+        stream.op_class.extend(ops)
+        stream.mem.extend(mems)
+        key = tuple(lanes)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = _mask_of(lanes)
+        stream.mask.extend([mask] * len(pcs))
 
     def on_mem_issue(self, function: str, block_addr: int, slot: int,
                      is_store: bool,
                      accesses: Sequence[Tuple[int, int]]) -> None:
-        if self._pending is None or self._pending[0] != block_addr:
+        if self._block != block_addr:
             raise RuntimeError("memory issue without a matching block issue")
-        self._pending[2][(slot, bool(is_store))] = list(accesses)
-
-    def finish(self) -> None:
-        self._flush()
-
-    # -- emission -----------------------------------------------------------
-
-    def _flush(self) -> None:
-        if self._pending is None:
-            return
-        block_addr, mask, mems = self._pending
-        self._pending = None
-        plan = self._plans.get(block_addr)
-        if plan is None:
-            block = self.program.block_by_addr[block_addr]
-            plan = self._plans[block_addr] = [
-                (slot, instr.addr, op_class)
-                for slot, instr in enumerate(block.instructions)
-                for op_class in decompose(instr)]
-        append = self.stream.append
-        for slot, pc, op_class in plan:
-            if op_class in (classes.LOAD, classes.STORE):
-                accesses = mems.get((slot, op_class == classes.STORE))
-                if accesses:
-                    space = space_of(accesses[0][0])
-                else:
-                    # A lane-predicated access that produced no record
-                    # (should not happen; keep the stream well-formed).
-                    space = SPACE_GLOBAL
-                    accesses = []
-                append(WarpInstruction(pc, op_class, mask, space=space,
-                                       accesses=accesses))
-            else:
-                append(WarpInstruction(pc, op_class, mask))
+        offset = self._mem_index.get((slot, bool(is_store)))
+        if offset is not None:
+            self.stream.mem[self._base + offset] = (
+                (space_of(accesses[0][0]), tuple(accesses)) if accesses
+                else _NO_RECORD)
 
 
 def generate_kernel_trace(traces: TraceSet, program: Program,
@@ -119,8 +135,6 @@ def generate_kernel_trace(traces: TraceSet, program: Program,
         return visitors[warp_index]
 
     analyzer.analyze(traces, visitor_factory=factory)
-    for visitor in visitors:
-        visitor.finish()
     return kernel
 
 

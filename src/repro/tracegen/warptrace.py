@@ -8,12 +8,16 @@ memory micro-ops, per-lane addresses.  Stack accesses are mapped to the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..machine.memory import SEG_STACK, segment_of
 
 SPACE_GLOBAL = "global"
 SPACE_LOCAL = "local"
+
+#: One ``WarpStream.mem`` entry: ``None`` (not a memory micro-op) or
+#: ``(space, accesses)`` with one ``(addr, size)`` pair per active lane.
+MemEntry = Optional[Tuple[str, Tuple[Tuple[int, int], ...]]]
 
 
 class WarpInstruction:
@@ -46,29 +50,55 @@ class WarpInstruction:
 
 
 class WarpStream:
-    """The full micro-op stream of one warp."""
+    """The full micro-op stream of one warp, held as four columns.
+
+    Micro-op ``i`` is ``pc[i]``, ``op_class[i]``, ``mask[i]`` (the
+    active-lane bitmask) and ``mem[i]``: ``None`` for a non-memory
+    micro-op, else ``(space, accesses)`` with ``accesses`` a tuple of
+    per-lane ``(addr, size)`` pairs.  The generator and the GPU model
+    read and write the columns directly; :meth:`append`, iteration and
+    :attr:`instructions` convert to and from :class:`WarpInstruction`.
+    """
 
     def __init__(self, warp_id: int, n_threads: int) -> None:
         self.warp_id = warp_id
         self.n_threads = n_threads
-        self.instructions: List[WarpInstruction] = []
+        self.pc: List[int] = []
+        self.op_class: List[str] = []
+        self.mask: List[int] = []
+        self.mem: List[MemEntry] = []
 
     def append(self, instr: WarpInstruction) -> None:
-        self.instructions.append(instr)
+        self.pc.append(instr.pc)
+        self.op_class.append(instr.op_class)
+        self.mask.append(instr.mask)
+        self.mem.append(None if instr.space is None
+                        else (instr.space, tuple(instr.accesses or ())))
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.pc)
 
-    def __iter__(self):
-        return iter(self.instructions)
+    def __iter__(self) -> Iterator[WarpInstruction]:
+        for pc, op_class, mask, mem in zip(self.pc, self.op_class,
+                                           self.mask, self.mem):
+            if mem is None:
+                yield WarpInstruction(pc, op_class, mask)
+            else:
+                yield WarpInstruction(pc, op_class, mask, space=mem[0],
+                                      accesses=mem[1])
+
+    @property
+    def instructions(self) -> List[WarpInstruction]:
+        """The stream as :class:`WarpInstruction` records (built anew)."""
+        return list(self)
 
     @property
     def issues(self) -> int:
-        return len(self.instructions)
+        return len(self.pc)
 
     @property
     def thread_instructions(self) -> int:
-        return sum(i.active_lanes for i in self.instructions)
+        return sum(map(int.bit_count, self.mask))
 
 
 class KernelTrace:

@@ -54,7 +54,7 @@ def load_kernel_trace(fp: Union[str, IO]) -> KernelTrace:
         try:
             name = inp.readline().split("=", 1)[1].strip()
             warp_size = int(inp.readline().split("=", 1)[1])
-            int(inp.readline().split("=", 1)[1])  # num warps (informational)
+            n_warps = int(inp.readline().split("=", 1)[1])
         except (IndexError, ValueError) as exc:
             raise TraceCorruptError(
                 "kernel trace header is malformed",
@@ -96,6 +96,13 @@ def load_kernel_trace(fp: Union[str, IO]) -> KernelTrace:
                     f"kernel trace line {lineno} is malformed: {line!r}",
                     site="trace.load", hint=_CORRUPT_HINT,
                 ) from exc
+        if len(kernel.warps) != n_warps:
+            # E.g. a file cut at a warp boundary.
+            raise TraceCorruptError(
+                f"kernel trace header declares {n_warps} warps but the "
+                f"file holds {len(kernel.warps)}",
+                site="trace.load", hint=_CORRUPT_HINT,
+            )
         return kernel
     finally:
         if own:

@@ -108,6 +108,44 @@ class TestSimulateCommand:
         assert "lrr" in capsys.readouterr().out
 
 
+class TestSimulateBadInputs:
+    def test_trace_wider_than_the_gpu_exits_2_with_one_line(self, tmp_path,
+                                                            capsys):
+        path = str(tmp_path / "k.trace")
+        assert main(["tracegen", "md5", "--threads", "16",
+                     "--warp-size", "32", "-o", path]) == 0
+        capsys.readouterr()
+        assert main(["simulate", path, "--gpu", "small-simt-cpu"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "warp size 32" in lines[0] and "warp size 8" in lines[0]
+
+    def test_empty_warp_section_does_not_hang(self, tmp_path):
+        # A saved trace whose second warp issues nothing used to hang
+        # the simulator; a fresh process with a timeout fails instead.
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "k.trace"
+        path.write_text("-kernel name = k\n-warp size = 32\n"
+                        "-num warps = 2\n#warp 0 threads 32\n"
+                        "0x00400000 int_alu 0x1\n#warp 1 threads 32\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert "instructions:   1 " in result.stdout
+
+
 class TestSweepCommand:
     def test_sweep_prints_monotone_efficiencies(self, capsys):
         rc = main(["sweep", "dsb_text", "--threads", "32",

@@ -18,7 +18,10 @@ For every randomly generated structured program we require:
    equal machine counters at quanta 1, 3 and 64, so kernels of ranges
    clipped at every offset of a block are fuzzed too; also with
    excluded helpers, nested roots and O0 stack traffic, where traced
-   kernels' inline recording hands over to the tracer's hooks.
+   kernels' inline recording hands over to the tracer's hooks;
+6. **Warp-trace parity** -- the warp-trace generator on the MIMD trace
+   and the oracle's nvbit-style capture write byte-identical kernel
+   trace files.
 
 Programs draw from nested if/else, counted loops with data-dependent trip
 counts, helper calls, and loads/stores over shared input / private output
@@ -30,7 +33,7 @@ import io
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalyzerConfig, analyze_traces
@@ -40,6 +43,11 @@ from repro.machine import Machine
 from repro.program import ProgramBuilder
 from repro.optlevels import apply_opt_level
 from repro.tracer import PackedTrace, TraceRecorder
+from repro.tracegen import (
+    generate_kernel_trace,
+    generate_oracle_kernel_trace,
+    save_kernel_trace,
+)
 from repro.tracer.io import save_traces
 
 from util import oracle_analyze
@@ -212,6 +220,40 @@ def test_three_executors_agree(spec):
     assert predicted.heap_transactions == measured.heap_transactions
     assert (predicted.metrics.divergence_events
             == measured.metrics.divergence_events)
+
+
+@seed(7)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(program_specs())
+def test_both_warp_trace_generators_agree(spec):
+    """The third leg on random programs: identical warp traces.
+
+    ``generate_kernel_trace`` on the MIMD trace of the as-written (O1)
+    program and ``generate_oracle_kernel_trace`` on the lock-step oracle
+    must write byte-identical kernel trace files, so every timing the
+    simulator reports from them is equal too.
+    """
+    program, in_addr, _out_addr = _build(spec)
+    recorder = TraceRecorder(roots=["worker"], program=program)
+    machine = Machine(program, hooks=recorder, max_instructions=2_000_000)
+    machine.memory.write_words(in_addr, _INPUT)
+    for t in range(N_THREADS):
+        machine.spawn("worker", [t])
+    machine.run()
+    texts = []
+    for kernel in (
+            generate_kernel_trace(recorder.traces, program,
+                                  warp_size=N_THREADS, name="cuda:worker"),
+            generate_oracle_kernel_trace(
+                program, "worker", [[t] for t in range(N_THREADS)],
+                setup=lambda gpu: gpu.memory.write_words(in_addr, _INPUT),
+                warp_size=N_THREADS)):
+        out = io.StringIO()
+        save_kernel_trace(kernel, out)
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
 
 
 @settings(max_examples=100, deadline=None,

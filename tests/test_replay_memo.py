@@ -199,7 +199,52 @@ class TestMemoMechanics:
         assert memo[_memo_key(warps[0])] is first
 
 
+#: ``(workload, threads)``: the groups whose projections perfbench's
+#: ``speedup_projection`` workload times.
+PROJECTION_GROUPS = [("vectoradd", 32), ("rodinia_bfs", 32),
+                     ("memcached", 32), ("md5", 16), ("nbody", 16)]
+
+
+@functools.lru_cache(maxsize=None)
+def _group_traces(name, threads):
+    instance = get_workload(name).instantiate(threads)
+    traces, _ = trace_instance(instance)
+    return traces, instance.program
+
+
+def _kernel_text(kernel):
+    out = io.StringIO()
+    save_kernel_trace(kernel, out)
+    return out.getvalue()
+
+
 class TestGeneratorParity:
+    @pytest.mark.parametrize("emulate_locks", [False, True],
+                             ids=["nolocks", "locks"])
+    @pytest.mark.parametrize("warp_size", [4, 8, 16, 32])
+    @pytest.mark.parametrize("name,threads", PROJECTION_GROUPS,
+                             ids=[f"{n}@{t}" for n, t in PROJECTION_GROUPS])
+    def test_projection_groups_match_the_oracle_replayer(
+            self, monkeypatch, name, threads, warp_size, emulate_locks):
+        """Span steps with a visitor emit the oracle's warp traces.
+
+        The production replayer hands the warp-trace visitor its
+        callbacks from span steps too; the text of every generated
+        kernel trace must equal the one the tuple oracle's per-block
+        callbacks produce.
+        """
+        traces, program = _group_traces(name, threads)
+
+        def _generate():
+            return _kernel_text(generate_kernel_trace(
+                traces, program, warp_size=warp_size,
+                emulate_locks=emulate_locks))
+
+        production = _generate()
+        monkeypatch.setattr(analyzer_module, "VectorWarpReplayer",
+                            WarpReplayer)
+        assert production == _generate()
+
     def test_kernel_traces_identical_with_memo_disabled(self, monkeypatch):
         """The warp-trace generator replays every warp fresh.
 

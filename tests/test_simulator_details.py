@@ -1,5 +1,10 @@
 """Detailed unit tests for GPU simulator internals and the CPU model."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cpusim import CPUConfig, CPUSimulator
@@ -10,7 +15,12 @@ from repro.simulator import (
     GPUSimulator,
     rtx3070,
 )
-from repro.tracegen import SPACE_GLOBAL, KernelTrace, WarpInstruction
+from repro.tracegen import (
+    SPACE_GLOBAL,
+    SPACE_LOCAL,
+    KernelTrace,
+    WarpInstruction,
+)
 
 from util import build_loop_program, run_traced
 
@@ -70,6 +80,142 @@ class TestSchedulers:
         b = GPUSimulator(rtx3070()).run(self._mem_kernel(4))
         assert a.cycles == b.cycles
         assert a.l1_misses == b.l1_misses
+
+
+def _mixed_stream(w):
+    """Warp ``w``'s micro-ops: ALU runs cut by every way a GTO issue run ends.
+
+    A multiply (latency 2) and global and local loads stall the warp;
+    stores and latency-1 ops keep it ready.  Masks and lengths vary
+    per warp, so warps finish at different cycles, and odd warps end on
+    a load instead of an ALU op.
+    """
+    base = 0x1000_0000 + w * 0x2000
+    narrow = 0xFFFF << (4 * (w % 4))
+    out = []
+    for i in range(10 + 3 * w):
+        pc = 0x400000 + 4 * (i % 16)
+        mask = narrow if i % 7 == 3 else FULL
+        lanes = [lane for lane in range(32) if mask >> lane & 1]
+        kind = i % 8
+        if kind == 1:
+            out.append(WarpInstruction(pc, classes.STORE, mask,
+                                       space=SPACE_GLOBAL, accesses=[
+                                           (base + 32 * i + 4 * lane, 4)
+                                           for lane in lanes]))
+        elif kind == 3:
+            out.append(WarpInstruction(pc, classes.INT_MUL, mask))
+        elif kind == 4:
+            out.append(WarpInstruction(pc, classes.STORE, mask,
+                                       space=SPACE_LOCAL, accesses=[
+                                           (0x7000_0000 + lane * 0x1000, 8)
+                                           for lane in lanes]))
+        elif kind == 5:
+            # Strided: one sector per lane, some shared across warps.
+            out.append(WarpInstruction(pc, classes.LOAD, mask,
+                                       space=SPACE_GLOBAL, accesses=[
+                                           (0x2000_0000 + 64 * lane
+                                            + 16 * (i % 3), 8)
+                                           for lane in lanes]))
+        elif kind == 7:
+            out.append(WarpInstruction(pc, classes.LOAD, mask,
+                                       space=SPACE_LOCAL, accesses=[
+                                           (0x7000_0000 + lane * 0x1000, 8)
+                                           for lane in lanes]))
+        else:
+            out.append(WarpInstruction(pc, classes.INT_ALU, mask))
+    if w % 2:
+        out.append(WarpInstruction(0x400100, classes.LOAD, FULL,
+                                   space=SPACE_GLOBAL,
+                                   accesses=[(base + 8 * lane, 8)
+                                             for lane in range(32)]))
+    return out
+
+
+class TestSchedulerPins:
+    """Every ``GPUStats`` field under both schedulers, pinned exactly.
+
+    Nine warps in blocks of two on two SMs that hold three warps each,
+    so both SMs refill from their pending lists; small caches make
+    the run hit and miss at every level.
+    """
+
+    #: ``(scheduler, replicate)`` -> every ``GPUStats`` field in
+    #: declaration order.
+    PINNED = {
+        ("gto", 1): (1368, 202, 6016, 100, 1227, 528, 699, 150, 549,
+                     17568, 2190),
+        ("gto", 3): (4167, 606, 18048, 300, 3681, 1370, 2311, 457, 1854,
+                     59328, 7033),
+        ("lrr", 1): (1351, 202, 6016, 100, 1227, 528, 699, 158, 541,
+                     17312, 2183),
+        ("lrr", 3): (4165, 606, 18048, 300, 3681, 1382, 2299, 442, 1857,
+                     59424, 7033),
+    }
+
+    @staticmethod
+    def _config(scheduler):
+        return GPUConfig(num_sms=2, max_warps_per_sm=3, warps_per_block=2,
+                         scheduler=scheduler,
+                         l1=CacheConfig(4096, 4, hit_latency=4),
+                         l2=CacheConfig(8192, 4, hit_latency=20),
+                         dram_latency=60, dram_bytes_per_cycle=16.0)
+
+    @pytest.mark.parametrize("replicate", [1, 3])
+    @pytest.mark.parametrize("scheduler", ["gto", "lrr"])
+    def test_pinned_stats(self, scheduler, replicate):
+        kernel = _kernel(_mixed_stream, n_warps=9)
+        stats = GPUSimulator(self._config(scheduler)).run(
+            kernel, replicate=replicate)
+        assert (dataclasses.astuple(stats)
+                == self.PINNED[scheduler, replicate])
+
+
+def _run_with_timeout(code):
+    """Run ``code`` in a fresh interpreter; a hang fails, not blocks."""
+    import repro
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    tests = os.path.dirname(__file__)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, tests, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestEmptyWarps:
+    def test_warp_with_no_micro_ops_does_not_hang(self):
+        # Such a warp used to become resident and never retire, so the
+        # SM loop never ended.  It must not occupy an SM at all: placed
+        # first or last, the results equal those of the one-op warp
+        # alone.
+        code = (
+            "import dataclasses\n"
+            "from repro.isa import classes\n"
+            "from repro.simulator import GPUSimulator, rtx3070\n"
+            "from repro.tracegen import KernelTrace, WarpInstruction\n"
+            "def kernel(order):\n"
+            "    k = KernelTrace('k', 32)\n"
+            "    for part in order:\n"
+            "        stream = k.new_warp(32)\n"
+            "        if part == 'op':\n"
+            "            stream.append(WarpInstruction(\n"
+            "                0x400000, classes.INT_ALU, 1))\n"
+            "    return k\n"
+            "for order in (['op'], ['op', 'empty'], ['empty', 'op']):\n"
+            "    stats = GPUSimulator(rtx3070()).run(kernel(order),\n"
+            "                                        replicate=2)\n"
+            "    print(dataclasses.astuple(stats))\n"
+        )
+        result = _run_with_timeout(code)
+        assert result.returncode == 0, result.stderr[-2000:]
+        lines = result.stdout.splitlines()
+        assert len(lines) == 3
+        # Two replicas of one single-lane op each.
+        assert lines[0].startswith("(2, 2, 2, 0,")
+        assert lines[1] == lines[0]
+        assert lines[2] == lines[0]
 
 
 class TestPlacementAndOccupancy:

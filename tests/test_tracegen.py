@@ -244,6 +244,33 @@ class TestCorruptKernelTraces:
         with pytest.raises(TraceCorruptError):
             load_kernel_trace(io.StringIO("\n".join(lines) + "\n"))
 
+    def test_warp_count_differing_from_header_raises(self):
+        from repro.errors import TraceCorruptError
+        from repro.tracegen import (
+            KernelTrace,
+            WarpInstruction,
+            load_kernel_trace,
+            save_kernel_trace,
+        )
+
+        kernel = KernelTrace("k", 4)
+        for _ in range(2):
+            kernel.new_warp(4).append(
+                WarpInstruction(0x400000, classes.INT_ALU, 0b1111))
+        buf = io.StringIO()
+        save_kernel_trace(kernel, buf)
+        text = buf.getvalue()
+        # Cut at the second warp's header: whole lines, one warp short.
+        cut = text[:text.index("#warp 1")]
+        with pytest.raises(TraceCorruptError) as excinfo:
+            load_kernel_trace(io.StringIO(cut))
+        assert excinfo.value.site == "trace.load"
+        assert "2 warps" in str(excinfo.value)
+        extra = text.replace("-num warps = 2", "-num warps = 1")
+        with pytest.raises(TraceCorruptError):
+            load_kernel_trace(io.StringIO(extra))
+        assert len(load_kernel_trace(io.StringIO(text)).warps) == 2
+
     def test_empty_file_raises_typed_error(self):
         from repro.errors import TraceCorruptError
         from repro.tracegen import load_kernel_trace

@@ -271,6 +271,23 @@ class TestVectorReplayer:
         oracle.run()
         assert pickle.dumps(vec.metrics) == pickle.dumps(oracle.metrics)
 
+    def test_visitor_rides_the_span_step(self):
+        # A converged stream with records, far longer than MIN_SPAN:
+        # the span step consumes all of it and still hands the visitor
+        # the oracle's exact callbacks, one block at a time.
+        traces = _converged_traces()
+        assert len(traces.threads[0].tokens) >= VectorWarpReplayer.MIN_SPAN
+        dcfgs = _prepared(traces)
+        logs = []
+        for replayer_cls in (WarpReplayer, VectorWarpReplayer):
+            log = _CallLog()
+            replayer = replayer_cls(traces.threads, dcfgs, 8, visitor=log)
+            metrics = replayer.run()
+            logs.append((log.calls, pickle.dumps(metrics)))
+        assert any(call[0] == "mem" for call in logs[0][0])
+        assert logs[1] == logs[0]
+        assert replayer.vector_tokens == replayer.total_tokens > 0
+
     def test_misaligned_records_raise_the_oracle_error(self):
         # Lanes agree on a long record-free prefix (entering the span
         # path), then lane 1 misses lane 0's memory record: the
